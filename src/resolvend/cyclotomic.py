@@ -85,15 +85,9 @@ class CycContext:
     def __new__(cls, n: int):
         if n in cls._cache:
             return cls._cache[n]
-        self = super().__new__(cls)
-        cls._cache[n] = self
-        return self
-
-    def __init__(self, n: int):
-        if getattr(self, "n", None) == n:
-            return
         if n < 1 or n % 2 == 0:
             raise ConductorError(f"conductor {n} must be odd and positive")
+        self = super().__new__(cls)
         self.n = n
         self.poly = cyclotomic_polynomial(n)
         self.phi = len(self.poly) - 1
@@ -116,6 +110,8 @@ class CycContext:
         self.xpow = rows
         self._zero = None
         self._one = None
+        cls._cache[n] = self
+        return self
 
     def __repr__(self):
         return f"CycContext({self.n})"
@@ -179,12 +175,6 @@ class CycNumber:
         self.ctx = ctx
         self.num = tuple(num)
         self.den = den
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def rational(ctx: CycContext, r) -> "CycNumber":
-        return ctx.from_rational(r)
 
     # -- predicates -------------------------------------------------------
 
@@ -315,6 +305,18 @@ def discrete_log_in_mu(x: CycNumber, n: int) -> int:
     raise NotARootError(f"value is not in mu_{n}")
 
 
+def cyc_root(x: CycNumber, e: Fraction) -> CycNumber:
+    """x^e for a root of unity x and a fractional e, when Q(zeta_N) holds it."""
+    if x.is_one():
+        return x.ctx.one()
+    n = x.ctx.n
+    j = discrete_log_in_mu(x, n)  # NotARootError if x is not a root of unity
+    je = j * e
+    if je.denominator != 1:
+        raise FractionalPowerError(f"no {e.denominator}-th root of zeta^{j} at conductor {n}")
+    return x.ctx.zeta_power(je.numerator % n)
+
+
 def cyc_inverse(x: CycNumber) -> CycNumber:
     """Exact inverse via the extended Euclidean algorithm mod Phi_N."""
     if x.is_zero():
@@ -417,8 +419,6 @@ class CycAlgebra:
     valuation floor at every prime above p.
     """
 
-    kind = "cyclotomic"
-
     def __init__(self, ctx: CycContext, p: int | None = None):
         if p is not None and ctx.n % p == 0:
             raise ConductorError(f"residue characteristic {p} divides conductor {ctx.n}")
@@ -449,22 +449,9 @@ class CycAlgebra:
         e = Fraction(e)
         if e.denominator == 1:
             return x ** e.numerator
-        if x.is_one():
-            return self.ctx.one()
-        j = discrete_log_in_mu(x, self.ctx.n)  # NotARootError if impossible
-        je = j * e
-        if je.denominator != 1:
-            raise FractionalPowerError(f"no {e.denominator}-th root of zeta^{j} at conductor {self.ctx.n}")
-        return self.ctx.zeta_power(je.numerator % self.ctx.n)
+        return cyc_root(x, e)
 
     def val(self, x: CycNumber):
         if self.p is None:
             raise PreconditionError("no residue characteristic attached")
         return content_ord(x, self.p)
-
-    def to_json(self, x: CycNumber) -> dict:
-        return cyc_to_json(x)
-
-    def from_json(self, data: dict) -> CycNumber:
-        x = cyc_from_json(data)
-        return self.from_cyc(x)

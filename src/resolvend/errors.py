@@ -17,10 +17,6 @@ class InvalidElementError(ResolvendError):
     """Element coordinates malformed for the group at hand."""
 
 
-class InvalidTwistError(ResolvendError):
-    """Twist exponent not coprime to the group exponent."""
-
-
 class ConductorError(ResolvendError):
     """Requested root order does not divide the session conductor."""
 
@@ -47,10 +43,6 @@ class SingularResolvendError(ResolvendError):
 
 class FractionalPowerError(ResolvendError):
     """Fractional power not representable in the coefficient algebra."""
-
-
-class NonIntegralExponentError(ResolvendError):
-    """Transpose map evaluated off the determinant kernel."""
 
 
 class EquivarianceError(ResolvendError):

@@ -1,9 +1,11 @@
 """Resolvends: group-ring elements r(a) = sum_s a(s) s^{-1} attached to maps
 a : G -> coefficients, together with the character-space isomorphism.
 
-The coefficient algebra is duck-typed: exact cyclotomic numbers, Puiseux
-elements of a local model, or formal wild elements all work, as long as the
-algebra object exposes zero/one/from_cyc/inv/val and the values carry exact
+The coefficient algebra is duck-typed: exact cyclotomic numbers
+(``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
+``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
+algebra of ``wild``.  The algebra object exposes
+zero/one/from_cyc/is_zero/inv/frac_power/val and the values carry exact
 ring arithmetic.  Inversion always happens pointwise in character space.
 """
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotGaloisOrbitError, NotInvertibleError, SingularResolvendError
 from .groups import FiniteAbelianGroup, GroupElement
-from .stickelberger import DetKernelBasis, char_inv, char_value, characters
+from .stickelberger import DetKernelBasis, char_inv, char_value, characters, stickelberger_pairing
 
 
 class GMap:
@@ -27,9 +29,6 @@ class GMap:
 
     def value(self, s: GroupElement):
         return self.values.get(s, self.algebra.zero())
-
-    def support(self):
-        return sorted(self.values)
 
     def translate(self, t: GroupElement) -> "GMap":
         """(t . a)(s) = a(s t)."""
@@ -259,6 +258,26 @@ def unit_certificate(a: GMap) -> CertificateReport:
         ok = False
         witnesses.append(f"not invertible: {exc}")
     return CertificateReport(ok, ok, ok, witnesses[:8])
+
+
+def transpose_lift(g: GMap) -> CharacterVector:
+    """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
+    g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra."""
+    group, alg = g.group, g.algebra
+    one = alg.one()
+    values = {}
+    for chi in characters(group):
+        acc = one
+        for s in group.elements():
+            if s == group.identity:
+                continue
+            v = g.value(s)
+            ex = stickelberger_pairing(group, chi, s)
+            if ex == 0 or v == one:
+                continue
+            acc = acc * alg.frac_power(v, ex)
+        values[chi] = acc
+    return CharacterVector(group, alg, values)
 
 
 def resolvend_inverse_transport(a: GMap) -> GMap:

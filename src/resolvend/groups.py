@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from .errors import InvalidElementError, InvalidGroupError, InvalidTwistError
+from .errors import InvalidElementError, InvalidGroupError
 
 GroupElement = tuple[int, ...]
 
@@ -133,27 +133,3 @@ def element_order(group: FiniteAbelianGroup, s: GroupElement) -> int:
     for c, d in zip(s, group.factors):
         n = lcm(n, d // gcd(c, d))
     return n
-
-
-def bounded_order_subgroup(group: FiniteAbelianGroup, d: int) -> list[GroupElement]:
-    """Sorted list of all s with order dividing d.
-
-    Equals the subgroup for gcd(d, exponent); d need not divide the exponent.
-    """
-    if d < 1:
-        raise InvalidElementError(f"order bound {d} must be positive")
-    d = gcd(d, group.exponent)
-    return sorted(s for s in group.elements() if d % element_order(group, s) == 0)
-
-
-def twist_action(group: FiniteAbelianGroup, s: GroupElement, k: int, n: int) -> GroupElement:
-    """s ** (k**n) for gcd(k, exponent) = 1; n = -1 uses the modular inverse."""
-    group.validate(s)
-    m = group.exponent
-    if gcd(k, m) != 1:
-        raise InvalidTwistError(f"twist exponent {k} shares a factor with {m}")
-    if n >= 0:
-        e = pow(k, n, m)
-    else:
-        e = pow(pow(k, -1, m), -n, m)
-    return group.scale(s, e)

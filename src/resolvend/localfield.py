@@ -6,9 +6,10 @@ tamely ramified of odd degree e.  Elements are finite Puiseux sums
 
     x = sum over r in (1/e)Z of c_r * pi^r,   c_r in Q(zeta_N),
 
-with one session conductor N coprime to p.  The valuation is normalized so
-v_L(pi^(1/e)) = 1; rational content contributes through ord_p, which reads
-the residue characteristic as the F-level uniformizer scale.
+with one session conductor N coprime to p, built on the Laurent core of
+``laurent``.  The valuation is normalized so v_L(pi^(1/e)) = 1; rational
+content contributes through ord_p, which reads the residue characteristic
+as the F-level uniformizer scale.
 
 Two modeled automorphisms generate everything we need:
   sigma: pi^(k/e) -> zeta_e^k pi^(k/e), coefficients fixed   (inertia)
@@ -19,27 +20,16 @@ They satisfy phi sigma phi^-1 sigma^-1 = sigma^(q-1) exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .cyclotomic import (
-    CycContext,
-    CycNumber,
-    content_ord,
-    cyc_from_json,
-    cyc_inverse,
-    cyc_to_json,
-    discrete_log_in_mu,
-    galois_apply,
-    root_of_unity,
-)
+from .cyclotomic import CycContext, content_ord, cyc_to_json, galois_apply, root_of_unity
 from .errors import (
     ConductorError,
     FractionalPowerError,
-    NotInvertibleError,
     ParityError,
     PreconditionError,
     TamenessError,
 )
+from .laurent import LaurentAlgebra, LaurentElement
 
 INF = float("inf")
 
@@ -62,7 +52,11 @@ class RamFiltration:
 
     @classmethod
     def from_spec(cls, spec: str) -> "RamFiltration":
-        return cls(int(x) for x in spec.split(","))
+        try:
+            orders = [int(x) for x in spec.split(",")]
+        except ValueError:
+            raise PreconditionError(f"filtration {spec!r} is not a comma list of integers")
+        return cls(orders)
 
     def order_at(self, n: int) -> int:
         return self.orders[n] if n < len(self.orders) else 1
@@ -134,201 +128,29 @@ def prime_power_base(q: int) -> int:
     return n
 
 
-class LocalModel:
-    """Shared context: ramification degree e, residue order q, conductor N.
+class PuiseuxElement(LaurentElement):
+    """Finite Puiseux sum over the model's conductor; keys are pi-exponents."""
 
-    Instances are interned by (e, q, conductor) so that elements built by
-    independent callers with the same parameters live in the same algebra.
-    """
+    __slots__ = ()
 
-    kind = "puiseux"
-    _cache: dict = {}
-
-    def __new__(cls, e: int, q: int, conductor: int):
-        key = (e, q, conductor)
-        if key not in cls._cache:
-            cls._cache[key] = super().__new__(cls)
-        return cls._cache[key]
-
-    def __init__(self, e: int, q: int, conductor: int):
-        if getattr(self, "e", None) == e:
-            return
-        p = prime_power_base(q)
-        if p == 2:
-            raise PreconditionError("residue characteristic must be odd")
-        if e < 1 or e % 2 == 0:
-            raise PreconditionError(f"ramification degree {e} must be odd and positive")
-        if (q - 1) % e != 0:
-            raise TamenessError(f"degree {e} does not divide q-1 = {q - 1}")
-        if conductor % p == 0:
-            raise ConductorError(f"residue characteristic {p} divides conductor {conductor}")
-        if e > 1 and conductor % e != 0:
-            raise ConductorError(f"conductor {conductor} lacks the order-{e} roots")
-        self.e = e
-        self.q = q
-        self.p = p
-        self.ctx = CycContext(conductor)
-
-    def __repr__(self):
-        return f"LocalModel(e={self.e}, q={self.q}, N={self.ctx.n})"
-
-    # -- constructors ------------------------------------------------------
-
-    def zero(self) -> "PuiseuxElement":
-        return PuiseuxElement(self, {})
-
-    def one(self) -> "PuiseuxElement":
-        return PuiseuxElement(self, {Fraction(0): self.ctx.one()})
-
-    def from_cyc(self, c: CycNumber) -> "PuiseuxElement":
-        if c.ctx.n != self.ctx.n:
-            raise ConductorError(f"conductor mismatch {c.ctx.n} vs {self.ctx.n}")
-        return PuiseuxElement(self, {Fraction(0): c})
-
-    def from_rational(self, r) -> "PuiseuxElement":
-        return self.from_cyc(self.ctx.from_rational(r))
-
-    def monomial(self, exponent, coeff: CycNumber) -> "PuiseuxElement":
-        return PuiseuxElement(self, {Fraction(exponent): coeff})
-
-    def pi_power(self, exponent) -> "PuiseuxElement":
-        """pi^exponent; the exponent denominator must divide e."""
-        return self.monomial(Fraction(exponent), self.ctx.one())
-
-    # -- Galois action -------------------------------------------------------
-
-    def sigma(self, x: "PuiseuxElement") -> "PuiseuxElement":
-        """Inertia generator: pi^(k/e) picks up zeta_e^k."""
-        terms = {}
-        for r, c in x.terms.items():
-            k = int(r * self.e)
-            terms[r] = c * root_of_unity(self.ctx, self.e, k) if k % self.e else c
-        return PuiseuxElement(self, terms)
-
-    def phi(self, x: "PuiseuxElement", k: int | None = None) -> "PuiseuxElement":
-        """Frobenius lift: coefficients through zeta_N -> zeta_N^k, default k=q."""
-        k = self.q if k is None else k
-        return PuiseuxElement(self, {r: galois_apply(c, k) for r, c in x.terms.items()})
-
-    def galois_twists(self):
-        """(name, character twist, automorphism) for equivariance checks."""
-        return [("sigma", 1, self.sigma), ("phi", self.q, self.phi)]
-
-    # -- valuation and membership --------------------------------------------
-
-    def val(self, x: "PuiseuxElement"):
-        if not x.terms:
-            return INF
-        return min(int(r * self.e) + self.e * content_ord(c, self.p) for r, c in x.terms.items())
-
-    def is_zero(self, x: "PuiseuxElement") -> bool:
-        return not x.terms
-
-    def in_base_field(self, x: "PuiseuxElement") -> bool:
-        """Integral pi-exponents and Frobenius-fixed coefficients."""
-        if any(r.denominator != 1 for r in x.terms):
-            return False
-        return self.phi(x) == x
-
-    # -- multiplicative structure ---------------------------------------------
-
-    def inv(self, x: "PuiseuxElement") -> "PuiseuxElement":
-        if len(x.terms) != 1:
-            raise NotInvertibleError("only monomials invert in the finite model")
-        (r, c), = x.terms.items()
-        return PuiseuxElement(self, {-r: cyc_inverse(c)})
-
-    def frac_power(self, x: "PuiseuxElement", e: Fraction) -> "PuiseuxElement":
-        e = Fraction(e)
-        if e.denominator == 1:
-            return x ** e.numerator
-        if len(x.terms) != 1:
-            raise FractionalPowerError("fractional powers need a monomial")
-        (r, c), = x.terms.items()
-        new_r = r * e
-        if new_r.denominator not in (1, *divisors(self.e)):
-            raise FractionalPowerError(f"exponent {new_r} leaves (1/{self.e})Z")
-        if c.is_one():
-            return PuiseuxElement(self, {new_r: self.ctx.one()})
-        j = discrete_log_in_mu(c, self.ctx.n)
-        je = j * e
-        if je.denominator != 1:
-            raise FractionalPowerError(f"no {e.denominator}-th root of the coefficient")
-        return PuiseuxElement(self, {new_r: self.ctx.zeta_power(je.numerator % self.ctx.n)})
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self, x: "PuiseuxElement") -> list:
-        out = []
-        for r in sorted(x.terms):
-            out.append({"exponent": str(r), "coeff": cyc_to_json(x.terms[r])})
-        return out
-
-    def from_json(self, data: list) -> "PuiseuxElement":
-        terms = {}
-        for item in data:
-            terms[Fraction(item["exponent"])] = self.from_cyc(cyc_from_json(item["coeff"])).terms.get(
-                Fraction(0), self.ctx.zero()
-            )
-        return PuiseuxElement(self, terms)
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-class PuiseuxElement:
-    """Finite Puiseux sum over the model's conductor."""
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: LocalModel, terms: dict):
+    def __init__(self, algebra: "LocalModel", terms: dict):
         clean = {}
         for r, c in terms.items():
             r = Fraction(r)
-            if model.e % r.denominator != 0:
-                raise FractionalPowerError(f"exponent {r} leaves (1/{model.e})Z")
+            if algebra.e % r.denominator != 0:
+                raise FractionalPowerError(f"exponent {r} leaves (1/{algebra.e})Z")
             if not c.is_zero():
                 clean[r] = c
-        self.model = model
+        self.algebra = algebra
         self.terms = clean
-
-    def _coerce(self, other):
-        if isinstance(other, PuiseuxElement):
-            if other.model is not self.model:
-                raise PreconditionError("mixed local models")
-            return other
-        if isinstance(other, CycNumber):
-            return self.model.from_cyc(other)
-        if isinstance(other, (int, Fraction)):
-            return self.model.from_rational(other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for r, c in o.terms.items():
-            terms[r] = terms[r] + c if r in terms else c
-        return PuiseuxElement(self.model, terms)
+        return PuiseuxElement(self.algebra, self._merged(o))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return PuiseuxElement(self.model, {r: -c for r, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -340,30 +162,9 @@ class PuiseuxElement:
                 r = r1 + r2
                 c = c1 * c2
                 terms[r] = terms[r] + c if r in terms else c
-        return PuiseuxElement(self.model, terms)
+        return PuiseuxElement(self.algebra, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.model.inv(self) ** (-n)
-        out = self.model.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted((r, c) for r, c in self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -371,5 +172,87 @@ class PuiseuxElement:
         bits = [f"pi^{r}*{c!r}" for r, c in sorted(self.terms.items())]
         return "Puiseux(" + " + ".join(bits) + ")"
 
-    def v(self):
-        return self.model.val(self)
+
+class LocalModel(LaurentAlgebra):
+    """Shared context: ramification degree e, residue order q, conductor N.
+
+    Instances are interned by (e, q, conductor) so that elements built by
+    independent callers with the same parameters live in the same algebra.
+    """
+
+    element = PuiseuxElement
+    key_type = Fraction
+    unit_key = Fraction(0)
+    name = "finite model"
+    _cache: dict = {}
+
+    def __new__(cls, e: int, q: int, conductor: int):
+        key = (e, q, conductor)
+        if key in cls._cache:
+            return cls._cache[key]
+        p = prime_power_base(q)
+        if p == 2:
+            raise PreconditionError("residue characteristic must be odd")
+        if e < 1 or e % 2 == 0:
+            raise PreconditionError(f"ramification degree {e} must be odd and positive")
+        if (q - 1) % e != 0:
+            raise TamenessError(f"degree {e} does not divide q-1 = {q - 1}")
+        if conductor % p == 0:
+            raise ConductorError(f"residue characteristic {p} divides conductor {conductor}")
+        if e > 1 and conductor % e != 0:
+            raise ConductorError(f"conductor {conductor} lacks the order-{e} roots")
+        self = super().__new__(cls)
+        self.e = e
+        self.q = q
+        self.p = p
+        self.ctx = CycContext(conductor)
+        cls._cache[key] = self
+        return self
+
+    def __repr__(self):
+        return f"LocalModel(e={self.e}, q={self.q}, N={self.ctx.n})"
+
+    def scale_key(self, r: Fraction, e) -> Fraction:
+        return r * e
+
+    def pi_power(self, exponent) -> PuiseuxElement:
+        """pi^exponent; the exponent denominator must divide e."""
+        return self.monomial(exponent, self.ctx.one())
+
+    # -- Galois action -------------------------------------------------------
+
+    def sigma(self, x: PuiseuxElement) -> PuiseuxElement:
+        """Inertia generator: pi^(k/e) picks up zeta_e^k."""
+        terms = {}
+        for r, c in x.terms.items():
+            k = int(r * self.e)
+            terms[r] = c * root_of_unity(self.ctx, self.e, k) if k % self.e else c
+        return PuiseuxElement(self, terms)
+
+    def phi(self, x: PuiseuxElement, k: int | None = None) -> PuiseuxElement:
+        """Frobenius lift: coefficients through zeta_N -> zeta_N^k, default k=q."""
+        k = self.q if k is None else k
+        return PuiseuxElement(self, {r: galois_apply(c, k) for r, c in x.terms.items()})
+
+    def galois_twists(self):
+        """(name, character twist, automorphism) for equivariance checks."""
+        return [("sigma", 1, self.sigma), ("phi", self.q, self.phi)]
+
+    # -- valuation and membership --------------------------------------------
+
+    def val(self, x: PuiseuxElement):
+        if not x.terms:
+            return INF
+        return min(int(r * self.e) + self.e * content_ord(c, self.p) for r, c in x.terms.items())
+
+    def in_base_field(self, x: PuiseuxElement) -> bool:
+        """Integral pi-exponents and Frobenius-fixed coefficients."""
+        if any(r.denominator != 1 for r in x.terms):
+            return False
+        return self.phi(x) == x
+
+    def to_json(self, x: PuiseuxElement) -> list:
+        out = []
+        for r in sorted(x.terms):
+            out.append({"exponent": str(r), "coeff": cyc_to_json(x.terms[r])})
+        return out

@@ -16,7 +16,7 @@ from math import gcd
 
 from . import faults
 from .cyclotomic import CycContext, CycNumber, discrete_log_in_mu
-from .errors import InvalidElementError, NonIntegralExponentError
+from .errors import InvalidElementError
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .intlinalg import det, hnf_rows, kernel_basis
 
@@ -26,10 +26,6 @@ Character = tuple[int, ...]
 def characters(group: FiniteAbelianGroup):
     """All characters, as image tuples, in lexicographic order."""
     return itertools.product(*(range(d) for d in group.factors))
-
-
-def char_mul(group: FiniteAbelianGroup, a: Character, b: Character) -> Character:
-    return tuple((x + y) % d for x, y, d in zip(a, b, group.factors))
 
 
 def char_inv(group: FiniteAbelianGroup, a: Character) -> Character:
@@ -163,10 +159,6 @@ class DetKernelBasis:
         return all(x.denominator == 1 for x in sol)
 
 
-def det_kernel_basis(group: FiniteAbelianGroup) -> DetKernelBasis:
-    return DetKernelBasis(group)
-
-
 def equivariance_check(group: FiniteAbelianGroup, k: int,
                        ctx: CycContext | None = None) -> bool:
     """Galois equivariance of the pairing: <chi^k, s> = <chi, s^k> for all chi, s.
@@ -185,28 +177,3 @@ def equivariance_check(group: FiniteAbelianGroup, k: int,
             if lhs != rhs:
                 return False
     return True
-
-
-def transpose_on_basis(g_values, group: FiniteAbelianGroup, basis: DetKernelBasis,
-                       pow_fn, mul_fn, one, ctx: CycContext | None = None) -> list:
-    """Transpose map on each basis vector: product of g(s)^<psi, s>.
-
-    ``g_values`` maps every group element to an invertible coefficient;
-    exponents must come out integral on the kernel (raises otherwise).
-    """
-    if ctx is None:
-        ctx = CycContext(group.exponent)
-    elements = [s for s in group.elements() if s != group.identity]
-    out = []
-    for combo in basis.combos():
-        acc = one
-        for s in elements:
-            exp = Fraction(0)
-            for chi, mult in combo.items():
-                exp += mult * stickelberger_pairing(group, chi, s, ctx)
-            if exp.denominator != 1:
-                raise NonIntegralExponentError(f"pairing sum {exp} not integral at {s}")
-            if exp:
-                acc = mul_fn(acc, pow_fn(g_values[s], int(exp)))
-        out.append(acc)
-    return out

@@ -38,6 +38,7 @@ from .groupring import (
     to_character_space,
     to_resolvend,
     trace_pairing_identity_check,
+    transpose_lift,
     unit_certificate,
 )
 from .localfield import (
@@ -65,7 +66,6 @@ from .tame import (
     inversion_identity_check,
     recompose,
     tame_generator,
-    transpose_lift,
     unramified_generator_search,
 )
 from .wild import (

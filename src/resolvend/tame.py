@@ -35,12 +35,13 @@ from .groupring import (
     reduced_equal,
     to_character_space,
     to_resolvend,
+    transpose_lift,
     unit_certificate,
     unit_map,
 )
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .localfield import LocalModel, prime_power_base
-from .stickelberger import DetKernelBasis, characters, det_kernel_basis, stickelberger_pairing
+from .stickelberger import DetKernelBasis
 
 
 @dataclass(frozen=True)
@@ -95,30 +96,6 @@ class PrimeFElement:
         if self.s != self.group.identity:
             over[self.s] = self.model.pi_power(1)
         return unit_map(self.group, self.model, over)
-
-
-def transpose_lift(g: GMap) -> CharacterVector:
-    """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
-    g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra."""
-    group, alg = g.group, g.algebra
-    one = alg.one()
-    values = {}
-    for chi in characters(group):
-        acc = one
-        for s in group.elements():
-            if s == group.identity:
-                continue
-            v = g.value(s)
-            ex = stickelberger_pairing(group, chi, s)
-            if ex == 0 or v == one:
-                continue
-            acc = acc * alg.frac_power(v, ex)
-        values[chi] = acc
-    return CharacterVector(group, alg, values)
-
-
-def transpose_lift_resolvend(g: GMap) -> Resolvend:
-    return from_character_space(transpose_lift(g))
 
 
 def build_model(e: int, q: int, conductor: int | None = None) -> LocalModel:
@@ -186,9 +163,8 @@ def basis_change_determinant(group: FiniteAbelianGroup, s: GroupElement, q: int,
     model = a.algebra
     e = model.e
     lo = (1 - e) // 2
-    span = [group.scale(group.element(s), i) for i in range(e)]
     rows = []
-    for g in span:
+    for g in group.cyclic_span(group.element(s)):
         x = a.value(g)
         rows.append([x.terms.get(Fraction(k + lo, e), model.ctx.zero()) for k in range(e)])
     return cyc_det(rows)
@@ -217,7 +193,7 @@ def decompose_tame_resolvend(h: TameHom, a: GMap,
         if model.val(c) < 0:
             raise NotAGeneratorError(f"inverse of unit part not integral at {g}")
     if basis is None:
-        basis = det_kernel_basis(group)
+        basis = DetKernelBasis(group)
     if not reduced_equal(to_resolvend(a), u * from_character_space(vf), basis):
         raise NotAGeneratorError("factorization fails reduced equality")
     return u, f
@@ -225,7 +201,7 @@ def decompose_tame_resolvend(h: TameHom, a: GMap,
 
 def recompose(u: Resolvend, f: PrimeFElement) -> Resolvend:
     """Inverse direction of the decomposition: u * lift(f)."""
-    return u * transpose_lift_resolvend(f.as_gmap())
+    return u * from_character_space(transpose_lift(f.as_gmap()))
 
 
 def _ord_mod(q: int, r: int) -> int:

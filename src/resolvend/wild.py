@@ -1,10 +1,11 @@
 """Formal algebra for the wild generator construction.
 
-Everything happens in a Laurent-polynomial algebra over Q(zeta_p) on
-commuting variables y_1 .. y_{p-1} (one block per "copy" when several
-independent towers are multiplied together).  The variables stand for the
-p-th roots x_i^(1/p) of the division-field units; all the identities the
-construction needs hold formally once the Galois actions
+Everything happens in a Laurent-polynomial algebra over Q(zeta_p), built on
+the core of ``laurent``, on commuting variables y_1 .. y_{p-1} (one block
+per "copy" when several independent towers are multiplied together).  The
+variables stand for the p-th roots x_i^(1/p) of the division-field units;
+all the identities the construction needs hold formally once the Galois
+actions
 
     omega_j:  y_i -> y_{ji},   zeta -> zeta^{c(j^{-1})}
     tau^c(j): y_i -> zeta^{c(i^{-1}) c(-1) c(j)} y_i
@@ -17,12 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycContext, CycNumber, cyc_inverse, discrete_log_in_mu, galois_apply
-from .errors import (
-    FractionalPowerError,
-    NotInvertibleError,
-    PreconditionError,
-)
+from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
+from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
 from .groupring import (
     GMap,
@@ -31,9 +28,11 @@ from .groupring import (
     resolvent,
     resolvend_product_transport,
     to_resolvend,
+    transpose_lift,
 )
 from .groups import FiniteAbelianGroup, GroupElement, element_order
-from .stickelberger import char_exponent, char_inv, characters, stickelberger_pairing
+from .laurent import LaurentAlgebra, LaurentElement
+from .stickelberger import char_exponent, char_inv, characters
 
 INF = float("inf")
 
@@ -55,117 +54,12 @@ def omega_exponent(p: int, j: int) -> int:
     return centered(p, pow(j, -1, p))
 
 
-class WildAlgebra:
-    """Laurent algebra Q(zeta_p)[y_i^{+-1}] with `copies` disjoint variable blocks."""
-
-    kind = "wild"
-
-    _cache: dict = {}
-
-    def __new__(cls, p: int, copies: int = 1):
-        key = (p, copies)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        cls._cache[key] = self
-        return self
-
-    def __init__(self, p: int, copies: int = 1):
-        if getattr(self, "p", None) == p:
-            return
-        if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
-            raise PreconditionError(f"p = {p} is not an odd prime")
-        if copies < 1:
-            raise PreconditionError("need at least one variable block")
-        self.p = p
-        self.copies = copies
-        self.nvars = copies * (p - 1)
-        self.ctx = CycContext(p)
-
-    def __repr__(self):
-        return f"WildAlgebra(p={self.p}, copies={self.copies})"
-
-    def var_index(self, i: int, copy: int = 0) -> int:
-        if not 1 <= i <= self.p - 1:
-            raise PreconditionError(f"variable index {i} out of range")
-        if not 0 <= copy < self.copies:
-            raise PreconditionError(f"copy {copy} out of range")
-        return copy * (self.p - 1) + (i - 1)
-
-    # -- constructors ------------------------------------------------------
-
-    def zero(self) -> "WildElement":
-        return WildElement(self, {})
-
-    def one(self) -> "WildElement":
-        return WildElement(self, {(0,) * self.nvars: self.ctx.one()})
-
-    def from_cyc(self, c: CycNumber) -> "WildElement":
-        return WildElement(self, {(0,) * self.nvars: c})
-
-    def from_rational(self, r) -> "WildElement":
-        return self.from_cyc(self.ctx.from_rational(r))
-
-    def monomial(self, exps, coeff: CycNumber) -> "WildElement":
-        return WildElement(self, {tuple(exps): coeff})
-
-    def y(self, i: int, copy: int = 0, power: int = 1) -> "WildElement":
-        exps = [0] * self.nvars
-        exps[self.var_index(i, copy)] = power
-        return self.monomial(exps, self.ctx.one())
-
-    # -- algebra protocol --------------------------------------------------
-
-    def is_zero(self, x: "WildElement") -> bool:
-        return not x.terms
-
-    def inv(self, x: "WildElement") -> "WildElement":
-        if len(x.terms) != 1:
-            raise NotInvertibleError("only monomials invert in the formal algebra")
-        (exps, c), = x.terms.items()
-        return self.monomial(tuple(-e for e in exps), cyc_inverse(c))
-
-    def frac_power(self, x: "WildElement", e) -> "WildElement":
-        e = Fraction(e)
-        if e.denominator == 1:
-            return x ** e.numerator
-        if len(x.terms) != 1:
-            raise FractionalPowerError("fractional powers need a monomial")
-        (exps, c), = x.terms.items()
-        new = []
-        for n in exps:
-            ne = n * e
-            if ne.denominator != 1:
-                raise FractionalPowerError(f"exponent {ne} is not integral")
-            new.append(ne.numerator)
-        if c.is_one():
-            return self.monomial(new, self.ctx.one())
-        j = discrete_log_in_mu(c, self.p)
-        je = j * e
-        if je.denominator != 1:
-            raise FractionalPowerError("no matching root of the coefficient")
-        return self.monomial(new, self.ctx.zeta_power(je.numerator % self.p))
-
-    def val(self, x: "WildElement"):
-        """Certified lower bound for the valuation; exact on monomials."""
-        return weight_lower_bound(x)
-
-    def is_unit_monomial(self, x: "WildElement") -> bool:
-        """Single Laurent term whose coefficient is a unit of Z[zeta_p]."""
-        if len(x.terms) != 1:
-            return False
-        (_, c), = x.terms.items()
-        if c.den != 1:
-            return False
-        return cyc_inverse(c).den == 1
-
-
-class WildElement:
+class WildElement(LaurentElement):
     """Finite Laurent combination of monomials in the y-variables."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
-    def __init__(self, algebra: WildAlgebra, terms: dict):
+    def __init__(self, algebra: "WildAlgebra", terms: dict):
         clean = {}
         for exps, c in terms.items():
             exps = tuple(exps)
@@ -176,42 +70,13 @@ class WildElement:
         self.algebra = algebra
         self.terms = clean
 
-    def _coerce(self, other):
-        if isinstance(other, WildElement):
-            return other if other.algebra is self.algebra else None
-        if isinstance(other, CycNumber):
-            if other.ctx.n != self.algebra.p:
-                return None
-            return self.algebra.from_cyc(other)
-        if isinstance(other, (int, Fraction)):
-            return self.algebra.from_rational(other)
-        return None
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in o.terms.items():
-            terms[exps] = terms[exps] + c if exps in terms else c
-        return WildElement(self.algebra, terms)
+        return WildElement(self.algebra, self._merged(o))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return WildElement(self.algebra, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -227,27 +92,6 @@ class WildElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.algebra.inv(self) ** (-n)
-        out = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "Wild(0)"
@@ -256,6 +100,69 @@ class WildElement:
             mono = "*".join(f"y{k+1}^{e}" for k, e in enumerate(exps) if e) or "1"
             bits.append(f"{self.terms[exps]!r}*{mono}")
         return "Wild(" + " + ".join(bits) + ")"
+
+
+class WildAlgebra(LaurentAlgebra):
+    """Laurent algebra Q(zeta_p)[y_i^{+-1}] with `copies` disjoint variable blocks."""
+
+    element = WildElement
+    key_type = tuple
+    name = "formal algebra"
+    _cache: dict = {}
+
+    def __new__(cls, p: int, copies: int = 1):
+        key = (p, copies)
+        if key in cls._cache:
+            return cls._cache[key]
+        if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
+            raise PreconditionError(f"p = {p} is not an odd prime")
+        if copies < 1:
+            raise PreconditionError("need at least one variable block")
+        self = super().__new__(cls)
+        self.p = p
+        self.copies = copies
+        self.nvars = copies * (p - 1)
+        self.unit_key = (0,) * self.nvars
+        self.ctx = CycContext(p)
+        cls._cache[key] = self
+        return self
+
+    def __repr__(self):
+        return f"WildAlgebra(p={self.p}, copies={self.copies})"
+
+    def var_index(self, i: int, copy: int = 0) -> int:
+        if not 1 <= i <= self.p - 1:
+            raise PreconditionError(f"variable index {i} out of range")
+        if not 0 <= copy < self.copies:
+            raise PreconditionError(f"copy {copy} out of range")
+        return copy * (self.p - 1) + (i - 1)
+
+    def scale_key(self, exps: tuple, e) -> tuple:
+        new = []
+        for n in exps:
+            ne = n * e
+            if ne.denominator != 1:
+                raise FractionalPowerError(f"exponent {ne} is not integral")
+            new.append(ne.numerator)
+        return tuple(new)
+
+    def y(self, i: int, copy: int = 0, power: int = 1) -> WildElement:
+        exps = [0] * self.nvars
+        exps[self.var_index(i, copy)] = power
+        return self.monomial(exps, self.ctx.one())
+
+    def val(self, x: WildElement):
+        """Certified lower bound for the valuation; exact on monomials."""
+        return weight_lower_bound(x)
+
+    def is_unit_monomial(self, x: WildElement) -> bool:
+        """Single Laurent term whose coefficient is a unit of Z[zeta_p]."""
+        if len(x.terms) != 1:
+            return False
+        (_, c), = x.terms.items()
+        if c.den != 1:
+            return False
+        return cyc_inverse(c).den == 1
 
 
 # -- Galois actions ----------------------------------------------------------
@@ -363,7 +270,7 @@ def wild_resolvent_identity(group: FiniteAbelianGroup, t: GroupElement,
     p = element_order(group, t)
     alg = algebra or WildAlgebra(p)
     a = wild_generator(group, t, alg)
-    g = pth_power_map(group, t, alg)
+    lift = transpose_lift(pth_power_map(group, t, alg))
     step = group.exponent // p
     for chi in characters(group):
         # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^k
@@ -372,16 +279,7 @@ def wild_resolvent_identity(group: FiniteAbelianGroup, t: GroupElement,
         for i in range(1, p):
             exps[i - 1] = centered(p, i * k)
         mono = alg.monomial(exps, alg.ctx.one())
-        if resolvent(a, chi) != mono:
-            return False
-        lift = alg.one()
-        for s in group.elements():
-            if s == group.identity:
-                continue
-            ex = stickelberger_pairing(group, chi, s)
-            if ex:
-                lift = lift * alg.frac_power(g.value(s), ex)
-        if lift != mono:
+        if resolvent(a, chi) != mono or lift.values[chi] != mono:
             return False
     return True
 

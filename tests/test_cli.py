@@ -139,6 +139,14 @@ def test_domain_error_exit_2(capsys):
     assert data["status"] == "error"
 
 
+def test_bad_filtration_exits_2(capsys):
+    code, out = run_cli(capsys, "different", "--filtration", "a,b")
+    data = json.loads(out)
+    assert code == 2
+    assert data["status"] == "error"
+    assert "a,b" in data["result"]["error"]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["pairing"])  # missing --group

@@ -39,6 +39,14 @@ def test_context_is_interned():
         CycContext(4)
 
 
+def test_failed_construction_is_not_cached():
+    before = dict(CycContext._cache)
+    for bad in (4, 0, -3):
+        with pytest.raises(ConductorError):
+            CycContext(bad)
+    assert CycContext._cache == before
+
+
 def test_zeta_relations():
     ctx = CycContext(9)
     z = ctx.zeta_power(1)

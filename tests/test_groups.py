@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from resolvend.errors import InvalidElementError, InvalidGroupError, InvalidTwistError
-from resolvend.groups import (
-    FiniteAbelianGroup,
-    bounded_order_subgroup,
-    element_order,
-    invariant_factors,
-    twist_action,
-)
+from resolvend.errors import InvalidElementError, InvalidGroupError
+from resolvend.groups import FiniteAbelianGroup, element_order, invariant_factors
 
 
 def test_invariant_factors_canonicalize():
@@ -79,20 +73,5 @@ def test_cyclic_span_and_subgroup():
     g = FiniteAbelianGroup((3, 9))
     span = g.cyclic_span((0, 3))
     assert span == [(0, 0), (0, 3), (0, 6)]
-    sub = bounded_order_subgroup(g, 3)
-    assert len(sub) == 9
-    assert all(element_order(g, s) in (1, 3) for s in sub)
-    # bound not dividing the exponent falls back to the gcd
-    assert bounded_order_subgroup(g, 6) == sub
-
-
-def test_twist_action():
-    g = FiniteAbelianGroup((9,))
-    s = (2,)
-    assert twist_action(g, s, 2, 1) == (4,)
-    assert twist_action(g, s, 2, 2) == (8,)
-    # negative powers go through the modular inverse
-    back = twist_action(g, twist_action(g, s, 2, 1), 2, -1)
-    assert back == s
-    with pytest.raises(InvalidTwistError):
-        twist_action(g, s, 3, 1)
+    assert g.cyclic_span(g.identity) == [g.identity]
+    assert len(g.cyclic_span((1, 1))) == 9

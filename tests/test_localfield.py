@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from resolvend.cyclotomic import CycContext
+from resolvend.cyclotomic import CycContext, cyc_from_json
 from resolvend.errors import (
     ConductorError,
     FractionalPowerError,
@@ -111,13 +111,22 @@ def test_model_interning_and_validation():
         LocalModel(3, 7, 5)  # conductor without order-3 roots
 
 
+def test_failed_construction_is_not_cached():
+    before = dict(LocalModel._cache)
+    with pytest.raises(PreconditionError):
+        LocalModel(2, 7, 1)
+    with pytest.raises(ConductorError):
+        LocalModel(3, 7, 21)
+    assert LocalModel._cache == before
+
+
 def test_valuations():
     model = LocalModel(3, 7, 9)
     assert model.val(model.zero()) == INF
     assert model.val(model.one()) == 0
     # pi itself sits e steps up the value group of L
     assert model.val(model.pi_power(1)) == 3
-    assert model.pi_power(Fraction(1, 3)).v() == 1
+    assert model.val(model.pi_power(Fraction(1, 3))) == 1
     assert model.val(model.from_rational(7)) == 3
     assert model.val(model.from_rational(Fraction(1, 49))) == -6
     assert model.val(model.monomial(Fraction(-2, 3), model.ctx.from_rational(7))) == 1
@@ -214,8 +223,12 @@ def test_json_roundtrip():
          + model.pi_power(1) * model.ctx.zeta_power(5))
     data = model.to_json(x)
     assert all(set(item) == {"exponent", "coeff"} for item in data)
-    assert model.from_json(data) == x
-    assert model.from_json(model.to_json(model.zero())) == model.zero()
+    assert [item["exponent"] for item in data] == ["-1/3", "0", "1"]
+    back = model.zero()
+    for item in data:
+        back = back + model.monomial(Fraction(item["exponent"]), cyc_from_json(item["coeff"]))
+    assert back == x
+    assert model.to_json(model.zero()) == []
 
 
 def test_mixed_models_refuse_to_combine():

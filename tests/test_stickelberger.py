@@ -9,23 +9,20 @@ import pytest
 
 from resolvend import faults
 from resolvend.cyclotomic import CycContext
-from resolvend.errors import InvalidElementError, NonIntegralExponentError
+from resolvend.errors import InvalidElementError
 from resolvend.groups import FiniteAbelianGroup, element_order
 from resolvend.stickelberger import (
     DetKernelBasis,
     char_exponent,
     char_inv,
-    char_mul,
     char_pow,
     char_value,
     characters,
-    det_kernel_basis,
     det_map,
     equivariance_check,
     integrality_check,
     stickelberger_map,
     stickelberger_pairing,
-    transpose_on_basis,
 )
 
 
@@ -35,8 +32,9 @@ def test_character_group_arithmetic():
     assert len(chars) == 27
     assert chars[0] == (0, 0)
     a, b = (1, 4), (2, 7)
-    assert char_mul(group, a, b) == (0, 2)
-    assert char_mul(group, a, char_inv(group, a)) == (0, 0)
+    assert det_map(group, {a: 1, b: 1}) == (0, 2)
+    assert det_map(group, {a: 1, char_inv(group, a): 1}) == (0, 0)
+    assert det_map(group, {a: 2}) == char_pow(group, a, 2)
     assert char_pow(group, a, 5) == (2, 2)
     assert char_pow(group, a, -1) == char_inv(group, a)
 
@@ -50,7 +48,9 @@ def test_char_exponent_is_bilinear():
     for _ in range(80):
         chi, psi = rng.choice(chars), rng.choice(chars)
         s, t = rng.choice(elems), rng.choice(elems)
-        assert (char_exponent(group, char_mul(group, chi, psi), s)
+        # {chi: 1, psi: 1} would collapse to {chi: 1} when chi == psi
+        product = det_map(group, {chi: 2} if chi == psi else {chi: 1, psi: 1})
+        assert (char_exponent(group, product, s)
                 == (char_exponent(group, chi, s) + char_exponent(group, psi, s)) % m)
         assert (char_exponent(group, chi, group.add(s, t))
                 == (char_exponent(group, chi, s) + char_exponent(group, chi, t)) % m)
@@ -138,7 +138,7 @@ def test_integrality_matches_trivial_det_sampled():
 def test_kernel_basis_structure():
     for spec in ((3,), (5,), (3, 3)):
         group = FiniteAbelianGroup(spec)
-        basis = det_kernel_basis(group)
+        basis = DetKernelBasis(group)
         assert len(basis.vectors) == len(basis.characters) == group.order
         assert basis.lattice_index() == group.order
         for combo in basis.combos():
@@ -170,15 +170,3 @@ def test_equivariance():
     with pytest.raises(InvalidElementError):
         equivariance_check(group, 3)
 
-
-def test_transpose_on_basis():
-    group = FiniteAbelianGroup((3,))
-    basis = DetKernelBasis(group)
-    ones = {s: Fraction(1) for s in group.elements()}
-    out = transpose_on_basis(ones, group, basis, pow, lambda a, b: a * b, Fraction(1))
-    assert out == [Fraction(1)] * len(basis.vectors)
-    # a vector outside the kernel produces a fractional exponent
-    basis.vectors = [(0, 1, 0)]
-    twos = {s: Fraction(2) for s in group.elements()}
-    with pytest.raises(NonIntegralExponentError):
-        transpose_on_basis(twos, group, basis, pow, lambda a, b: a * b, Fraction(1))

@@ -25,16 +25,19 @@ from resolvend.groups import FiniteAbelianGroup, element_order
 from resolvend.groupring import (
     GMap,
     associated_hom,
+    from_character_space,
     generator_certificate,
     reduced_equal,
     resolvent,
     to_resolvend,
+    transpose_lift,
     unit_certificate,
+    unit_map,
 )
 from resolvend.localfield import prime_power_base
 from resolvend.stickelberger import (
+    DetKernelBasis,
     characters,
-    det_kernel_basis,
     stickelberger_pairing,
 )
 from resolvend.tame import (
@@ -48,7 +51,6 @@ from resolvend.tame import (
     inversion_identity_check,
     recompose,
     tame_generator,
-    transpose_lift_resolvend,
     unramified_generator_search,
 )
 
@@ -124,7 +126,7 @@ def test_basis_change_determinant_is_a_unit():
 def test_decompose_recompose_roundtrip():
     h = TameHom(C3, (0,), (1,), 7)
     a = tame_generator(C3, (1,), 7)
-    basis = det_kernel_basis(C3)
+    basis = DetKernelBasis(C3)
     u, f = decompose_tame_resolvend(h, a, basis)
     assert f.s == (1,)
     model = a.algebra
@@ -153,11 +155,29 @@ def test_prime_f_element():
     assert f.value((1,)) == model.pi_power(1)
     assert f.value((0,)) == model.one()
     assert f.value((2,)) == model.one()
-    lifted = transpose_lift_resolvend(f.as_gmap())
+    lifted = from_character_space(transpose_lift(f.as_gmap()))
     # the lift of the trivial prime element is the identity
     triv = PrimeFElement(C3, model, (0,))
-    assert transpose_lift_resolvend(triv.as_gmap()).coeffs == {(0,): model.one()}
+    assert from_character_space(transpose_lift(triv.as_gmap())).coeffs == {(0,): model.one()}
     assert lifted.coeffs != {}
+
+
+def test_transpose_lift_on_kernel_basis():
+    """On a determinant-kernel vector psi the lift multiplies out to
+    prod_s g(s)^<psi, s>, whose exponents are integral."""
+    model = build_model(3, 7)
+    lift = transpose_lift(PrimeFElement(C3, model, (1,)).as_gmap())
+    for combo in DetKernelBasis(C3).combos():
+        acc = model.one()
+        for chi, mult in combo.items():
+            acc = acc * lift.values[chi] ** mult
+        exp = sum(mult * stickelberger_pairing(C3, chi, (1,)) for chi, mult in combo.items())
+        assert exp.denominator == 1
+        assert acc == model.pi_power(exp)
+    # off the kernel the exponent is fractional, so the value leaves F
+    assert not model.in_base_field(lift.values[(1,)])
+    ones = transpose_lift(unit_map(C3, model))
+    assert all(v == model.one() for v in ones.values.values())
 
 
 def test_unramified_search_small():

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from resolvend import faults
+from resolvend.cyclotomic import CycContext
 from resolvend.errors import (
+    ConductorError,
     FractionalPowerError,
     NotInvertibleError,
     PreconditionError,
@@ -69,6 +71,30 @@ def test_algebra_interning_and_shape():
         alg.var_index(5)
     with pytest.raises(PreconditionError):
         alg.var_index(1, copy=1)
+
+
+def test_failed_construction_is_not_cached():
+    before = dict(WildAlgebra._cache)
+    with pytest.raises(PreconditionError):
+        WildAlgebra(9)
+    with pytest.raises(PreconditionError):
+        WildAlgebra(3, copies=0)
+    assert WildAlgebra._cache == before
+
+
+def test_coercion_checks_conductor_and_algebra():
+    alg = WildAlgebra(3)
+    with pytest.raises(ConductorError):
+        alg.from_cyc(CycContext(5).one())
+    with pytest.raises(ConductorError):
+        alg.y(1) + CycContext(5).one()
+    other = WildAlgebra(3, copies=2)
+    with pytest.raises(PreconditionError):
+        alg.y(1) + other.y(1)
+    with pytest.raises(PreconditionError):
+        alg.y(1) * other.y(1)
+    with pytest.raises(PreconditionError):
+        alg.one() == WildAlgebra(5).one()
 
 
 def test_laurent_arithmetic():
