@@ -17,9 +17,9 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .cyclotomic import CycAlgebra, CycContext
+from .cyclotomic import CycAlgebra
 from .errors import ParityError, PreconditionError, ResolvendError
 from .faults import ALL_FAULTS
 from .groupring import generator_certificate, resolvent
@@ -57,12 +57,24 @@ from .wild import (
     wild_unit_resolvents,
 )
 
+# Largest group order, conductor and residue order a command accepts: a pairing
+# matrix has |G|^2 entries, CycContext(N) holds max(N, 2 phi(N) - 1) rows of
+# phi(N) ints, and an inverse in Q(zeta_N) costs O(phi(N)^3).
+MAX_SIZE = 255
+
+
+def _bounded(name: str, n: int) -> int:
+    if n > MAX_SIZE:
+        raise PreconditionError(f"{name} {n} exceeds the limit {MAX_SIZE}")
+    return n
+
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:
     try:
         factors = tuple(int(part) for part in spec.split(","))
     except ValueError:
         raise PreconditionError(f"group spec {spec!r} is not a comma list of integers")
+    _bounded("group order", prod(abs(d) for d in factors))
     return FiniteAbelianGroup(factors)
 
 
@@ -116,10 +128,9 @@ def _int_list(spec: str) -> tuple:
 
 def cmd_pairing(args) -> tuple:
     group = _parse_group(args.group)
-    ctx = CycContext(group.exponent)
     chars = list(characters(group))
     elements = list(group.elements())
-    matrix = [[_frac(stickelberger_pairing(group, chi, s, ctx)) for s in elements]
+    matrix = [[_frac(stickelberger_pairing(group, chi, s)) for s in elements]
               for chi in chars]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -147,11 +158,10 @@ def cmd_kernel_basis(args) -> tuple:
 def cmd_theta(args) -> tuple:
     group = _parse_group(args.group)
     psi = _parse_psi(args.psi, group)
-    ctx = CycContext(group.exponent)
-    theta = stickelberger_map(group, psi, ctx)
+    theta = stickelberger_map(group, psi)
     det = det_map(group, psi)
     basis = DetKernelBasis(group)
-    integral = integrality_check(group, psi, ctx)
+    integral = integrality_check(group, psi)
     det_trivial = det == tuple([0] * group.rank)
     result = {"group": group.spec,
               "psi": {_label(chi): c for chi, c in sorted(psi.items())},
@@ -185,8 +195,8 @@ def cmd_tame_gen(args) -> tuple:
     if element_order(group, s) != e:
         raise PreconditionError(f"element {args.s} has order {element_order(group, s)}, "
                                 f"not e = {e}")
-    conductor = args.conductor if args.conductor else lcm(e, group.exponent)
-    a = tame_generator(group, s, args.q, conductor)
+    conductor = _bounded("conductor", args.conductor or lcm(e, group.exponent))
+    a = tame_generator(group, s, _bounded("residue order", args.q), conductor)
     model = a.algebra
     table = []
     all_match = True

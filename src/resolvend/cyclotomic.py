@@ -3,8 +3,9 @@ polynomial.
 
 One conductor N serves a whole computation session; every root of unity of
 order n | N is the coherent power zeta_N^(N/n).  A CycNumber stores an integer
-coefficient vector over a single positive denominator, so products stay in
-integer arithmetic; Fractions appear only at the API boundary.
+coefficient vector over a single positive denominator, so products and
+inverses (by fraction-free elimination) stay in integer arithmetic; Fractions
+appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -187,11 +188,6 @@ class CycNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotARootError("value is not rational")
-        return Fraction(self.num[0], self.den)
-
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
@@ -264,11 +260,6 @@ class CycNumber:
     def __repr__(self):
         return f"CycNumber(N={self.ctx.n}, {'/'.join([str(list(self.num)), str(self.den)])})"
 
-    # -- automorphisms ----------------------------------------------------
-
-    def galois(self, k: int) -> "CycNumber":
-        return galois_apply(self, k)
-
 
 def root_of_unity(ctx: CycContext, n: int, power: int = 1) -> CycNumber:
     """zeta_n^power as zeta_N^(N/n * power); n must divide the conductor."""
@@ -318,47 +309,42 @@ def cyc_root(x: CycNumber, e: Fraction) -> CycNumber:
 
 
 def cyc_inverse(x: CycNumber) -> CycNumber:
-    """Exact inverse via the extended Euclidean algorithm mod Phi_N."""
+    """Exact inverse in integer arithmetic: solve num(x) * y = 1 as the
+    phi x phi system whose columns are num(x) * zeta^j, by fraction-free
+    (Bareiss) elimination and exact back-substitution."""
     if x.is_zero():
         raise NotInvertibleError("zero is not invertible")
+    ctx = x.ctx
+    phi = ctx.phi
     if x.is_rational():
-        r = x.as_rational()
-        return x.ctx.from_rational(Fraction(r.denominator, r.numerator))
-    # work over Q[x]: r0 = Phi, r1 = x; track only the cofactor of x
-    r0 = [Fraction(c) for c in x.ctx.poly]
-    r1 = [Fraction(c, x.den) for c in x.num]
-    while r1 and r1[-1] == 0:
-        r1.pop()
-    t0: list[Fraction] = []
-    t1: list[Fraction] = [Fraction(1)]
-
-    def degree(p):
-        return len(p) - 1
-
-    def sub_scaled(a, b, c, shift):
-        # a -= c * x^shift * b, in place semantics via new list
-        out = list(a) + [Fraction(0)] * max(0, len(b) + shift - len(a))
-        for i, y in enumerate(b):
-            out[i + shift] -= c * y
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while degree(r1) > 0:
-        while degree(r0) >= degree(r1):
-            c = r0[-1] / r1[-1]
-            shift = degree(r0) - degree(r1)
-            r0 = sub_scaled(r0, r1, c, shift)
-            t0 = sub_scaled(t0, t1, c, shift)
-            if not r0:
-                break
-        r0, r1, t0, t1 = r1, r0, t1, t0
-    if not r1:
-        raise NotInvertibleError("value shares a factor with the modulus")
-    lead = r1[0]
-    inv = [c / lead for c in t1]
-    inv += [Fraction(0)] * (x.ctx.phi - len(inv))
-    return x.ctx.from_fractions(inv[: x.ctx.phi])
+        return CycNumber(ctx, (x.den,) + (0,) * (phi - 1), x.num[0])
+    top = [-c for c in ctx.poly[:-1]]  # zeta^phi in the power basis
+    cols = [list(x.num)]
+    for _ in range(1, phi):
+        lead = cols[-1][-1]
+        cols.append([c + lead * t for c, t in zip([0] + cols[-1][:-1], top)])
+    # augmented rows [A | e_0]; after elimination each entry is a minor of A
+    rows = [list(r) + [int(i == 0)] for i, r in enumerate(zip(*cols))]
+    prev = 1
+    for k in range(phi):
+        piv = next((r for r in range(k, phi) if rows[r][k]), None)
+        if piv is None:
+            raise NotInvertibleError("value shares a factor with the modulus")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k]
+        akk = pk[k]
+        for row in rows[k + 1:]:
+            ark = row[k]
+            row[k + 1:] = [(akk * a - ark * b) // prev for a, b in zip(row[k + 1:], pk[k + 1:])]
+        prev = akk
+    # prev = +-det A, so sol = prev * A^-1 e_0 is integral (Cramer) and
+    # every division below is exact
+    sol = [0] * phi
+    for i in range(phi - 1, -1, -1):
+        row = rows[i]
+        acc = prev * row[phi] - sum(row[j] * sol[j] for j in range(i + 1, phi))
+        sol[i] = acc // row[i]
+    return CycNumber(ctx, tuple(x.den * c for c in sol), prev)
 
 
 def content_ord(x: CycNumber, p: int):

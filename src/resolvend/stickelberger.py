@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import faults
-from .cyclotomic import CycContext, CycNumber, discrete_log_in_mu
+from .cyclotomic import CycContext, CycNumber
 from .errors import InvalidElementError
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .intlinalg import det, hnf_rows, kernel_basis
@@ -60,9 +60,10 @@ def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupEle
     n = element_order(group, s)
     if n == 1:
         return Fraction(0)
-    if ctx is None:
-        ctx = CycContext(group.exponent)
-    upsilon = discrete_log_in_mu(char_value(group, chi, s, ctx), n)
+    m = group.exponent
+    if ctx is not None and ctx.n % m != 0:
+        raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
+    upsilon = char_exponent(group, chi, s) * n // m  # zeta_m^k = zeta_n^(k n/m), (m/n) | k
     if upsilon > (n - 1) // 2:
         upsilon -= n
     if faults.is_active(faults.PAIRING_SIGN_FLIP):
@@ -82,8 +83,6 @@ def det_map(group: FiniteAbelianGroup, psi: dict) -> Character:
 def stickelberger_map(group: FiniteAbelianGroup, psi: dict,
                       ctx: CycContext | None = None) -> dict[GroupElement, Fraction]:
     """Theta(psi): group-ring element with coefficient <psi, s> at each s."""
-    if ctx is None:
-        ctx = CycContext(group.exponent)
     out: dict[GroupElement, Fraction] = {}
     for s in group.elements():
         total = Fraction(0)
@@ -166,8 +165,6 @@ def equivariance_check(group: FiniteAbelianGroup, k: int,
     The action twists characters by k and group elements by the inverse
     twist, so Theta commutes with it exactly when this identity holds.
     """
-    if ctx is None:
-        ctx = CycContext(group.exponent)
     if gcd(k, group.exponent) != 1:
         raise InvalidElementError(f"twist {k} not coprime to exponent {group.exponent}")
     for chi in characters(group):

@@ -17,6 +17,8 @@ weight(y_i - 1) = 1, weight(zeta - 1) = p, weight(p) = p(p-1).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import isqrt
 
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
@@ -114,7 +116,7 @@ class WildAlgebra(LaurentAlgebra):
         key = (p, copies)
         if key in cls._cache:
             return cls._cache[key]
-        if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
+        if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
             raise PreconditionError(f"p = {p} is not an odd prime")
         if copies < 1:
             raise PreconditionError("need at least one variable block")
@@ -288,27 +290,25 @@ def wild_resolvent_identity(group: FiniteAbelianGroup, t: GroupElement,
 
 
 def _zeta_minus_one_ord(c: CycNumber):
-    """Exact (zeta_p - 1)-adic valuation of c in Q(zeta_p)."""
+    """Exact (zeta_p - 1)-adic valuation of c in Q(zeta_p).
+
+    zeta - 1 divides integral a(zeta) iff p | a(1); then a / (zeta - 1) is the
+    synthetic quotient of a(z) - (a(1)/p) Phi_p(z) by z - 1.  A factor p of the
+    denominator counts p - 1; the rest of the denominator is a unit."""
     if c.is_zero():
         return INF
     p = c.ctx.n
-    den_v = 0
+    a = c.num
+    v = 0
+    while sum(a) % p == 0:
+        m = sum(a) // p
+        a = list(accumulate(m - x for x in a))
+        v += 1
     d = c.den
     while d % p == 0:
         d //= p
-        den_v += 1
-    # strip the denominator's p-part; remaining denominator is a unit here
-    x = c * (p ** den_v)
-    v = 0
-    pi_inv = cyc_inverse(c.ctx.zeta_power(1) - c.ctx.one())
-    while True:
-        if x.is_zero():
-            return INF
-        if x.den != 1 or sum(x.num) % p:
-            break
-        x = x * pi_inv
-        v += 1
-    return v - den_v * (p - 1)
+        v -= p - 1
+    return v
 
 
 def weight_lower_bound(x: WildElement):

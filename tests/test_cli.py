@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from resolvend.cli import main
+from resolvend.cyclotomic import CycContext
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,25 @@ def test_bad_filtration_exits_2(capsys):
     assert code == 2
     assert data["status"] == "error"
     assert "a,b" in data["result"]["error"]
+
+
+def test_size_cap_exits_2_before_any_context(capsys):
+    before = dict(CycContext._cache)
+    tame = ["tame-gen", "--group", "3", "--e", "3", "--q", "7", "--s", "1"]
+    for argv in (tame + ["--conductor", "100001"],
+                 ["tame-gen", "--group", "100001", "--e", "3", "--q", "7", "--s", "1"],
+                 ["tame-gen", "--group", "3", "--e", "3", "--q", str(10**30 + 57), "--s", "1"],
+                 ["pairing", "--group", "100001"],
+                 ["kernel-basis", "--group", "3,100001"],
+                 ["theta", "--group", "100001", "--psi", "1:1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert data["status"] == "error"
+        assert "exceeds the limit" in data["result"]["error"]
+    assert CycContext._cache == before
 
 
 def test_usage_error_exits_2():

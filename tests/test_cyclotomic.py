@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resolvend.cyclotomic import (
     CycAlgebra,
     CycContext,
+    CycNumber,
     content_ord,
     cyc_det,
     cyc_from_json,
@@ -132,6 +135,54 @@ def test_inverse():
         assert c * cyc_inverse(c) == ctx.one()
     with pytest.raises(NotInvertibleError):
         cyc_inverse(ctx.zero())
+
+
+def _euclid_inverse(x: CycNumber) -> CycNumber:
+    """Reference inverse: the extended Euclidean algorithm over Q[z] against
+    Phi_N, on lists of Fractions, tracking only the cofactor of x."""
+    r0 = [Fraction(c) for c in x.ctx.poly]
+    r1 = [Fraction(c, x.den) for c in x.num]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    t0: list[Fraction] = []
+    t1 = [Fraction(1)]
+
+    def sub_scaled(a, b, c, shift):
+        out = list(a) + [Fraction(0)] * max(0, len(b) + shift - len(a))
+        for i, y in enumerate(b):
+            out[i + shift] -= c * y
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            c = r0[-1] / r1[-1]
+            shift = len(r0) - len(r1)
+            r0 = sub_scaled(r0, r1, c, shift)
+            t0 = sub_scaled(t0, t1, c, shift)
+            if not r0:
+                break
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    inv = [c / r1[0] for c in t1]
+    inv += [Fraction(0)] * (x.ctx.phi - len(inv))
+    return x.ctx.from_fractions(inv[: x.ctx.phi])
+
+
+@st.composite
+def cyc_elements(draw):
+    ctx = CycContext(draw(st.sampled_from((3, 5, 7, 9, 15, 21, 57))))
+    num = draw(st.lists(st.integers(-4, 4), min_size=ctx.phi, max_size=ctx.phi))
+    return CycNumber(ctx, num, draw(st.integers(1, 12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyc_elements())
+def test_inverse_matches_euclid(x):
+    assume(not x.is_zero())
+    inv = cyc_inverse(x)
+    assert inv == _euclid_inverse(x)
+    assert x * inv == x.ctx.one()
 
 
 def test_content_ord():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from resolvend import faults
-from resolvend.cyclotomic import CycContext
+from resolvend.cyclotomic import CycContext, discrete_log_in_mu
 from resolvend.errors import InvalidElementError
 from resolvend.groups import FiniteAbelianGroup, element_order
 from resolvend.stickelberger import (
@@ -89,12 +89,60 @@ def test_pairing_is_centered_and_antisymmetric():
             assert stickelberger_pairing(group, char_inv(group, chi), s, ctx) == -v
 
 
+def _pairing_by_dlog(group, chi, s, ctx):
+    """Reference pairing: upsilon by a linear discrete-log scan of chi(s)
+    over mu_|s| in Q(zeta_N), then centered."""
+    n = element_order(group, s)
+    if n == 1:
+        return Fraction(0)
+    upsilon = discrete_log_in_mu(char_value(group, chi, s, ctx), n)
+    if upsilon > (n - 1) // 2:
+        upsilon -= n
+    return Fraction(upsilon, n)
+
+
+def _odd_groups(max_order):
+    """Invariant-factor chains d_1 | d_2 | ... of odd d_i > 1, order <= max_order."""
+    def chains(step, room):
+        yield ()
+        for d in range(step, room + 1, step):
+            if d > 1 and d % 2:
+                for rest in chains(d, room // d):
+                    yield (d,) + rest
+    return [FiniteAbelianGroup(c) for c in chains(1, max_order) if c]
+
+
+def test_pairing_matches_dlog_reference():
+    groups = _odd_groups(27)
+    assert {g.spec for g in groups} >= {"27", "3,9", "3,3,3", "5,5", "21"}
+    pairs = 0
+    for group in groups:
+        ctx = CycContext(group.exponent)
+        for chi in characters(group):
+            for s in group.elements():
+                assert (stickelberger_pairing(group, chi, s, ctx)
+                        == _pairing_by_dlog(group, chi, s, ctx))
+                pairs += 1
+    assert pairs == 5817
+
+
+def test_pairing_rejects_short_conductor():
+    group = FiniteAbelianGroup((9,))
+    with pytest.raises(InvalidElementError):
+        stickelberger_pairing(group, (1,), (1,), CycContext(3))
+    assert stickelberger_pairing(group, (1,), (0,), CycContext(3)) == 0
+
+
 def test_pairing_sign_fault():
-    group = FiniteAbelianGroup((3,))
-    clean = stickelberger_pairing(group, (1,), (1,))
-    with faults.inject(faults.PAIRING_SIGN_FLIP):
-        assert stickelberger_pairing(group, (1,), (1,)) == -clean
-    assert stickelberger_pairing(group, (1,), (1,)) == clean
+    # on (3, 9) the element has order 3 < exponent 9, so the fault meets
+    # the |s| / exp(G) scaling
+    for spec, chi, s in (((3,), (1,), (1,)), ((3, 9), (1, 1), (1, 3))):
+        group = FiniteAbelianGroup(spec)
+        clean = stickelberger_pairing(group, chi, s)
+        assert clean != 0
+        with faults.inject(faults.PAIRING_SIGN_FLIP):
+            assert stickelberger_pairing(group, chi, s) == -clean
+        assert stickelberger_pairing(group, chi, s) == clean
 
 
 def test_det_map():

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvend import faults
-from resolvend.cyclotomic import CycContext
+from resolvend.cyclotomic import CycContext, CycNumber, cyc_inverse
 from resolvend.errors import (
     ConductorError,
     FractionalPowerError,
@@ -65,6 +67,8 @@ def test_algebra_interning_and_shape():
     assert alg.nvars == 4
     assert WildAlgebra(3, copies=2).nvars == 4
     assert alg.ctx.n == 5
+    for p in (3, 5, 7, 11, 13):
+        assert WildAlgebra(p).p == p
     with pytest.raises(PreconditionError):
         alg.var_index(0)
     with pytest.raises(PreconditionError):
@@ -75,8 +79,9 @@ def test_algebra_interning_and_shape():
 
 def test_failed_construction_is_not_cached():
     before = dict(WildAlgebra._cache)
-    with pytest.raises(PreconditionError):
-        WildAlgebra(9)
+    for square in (9, 25, 49, 121):
+        with pytest.raises(PreconditionError):
+            WildAlgebra(square)
     with pytest.raises(PreconditionError):
         WildAlgebra(3, copies=0)
     assert WildAlgebra._cache == before
@@ -229,6 +234,50 @@ def test_zeta_minus_one_valuation():
     assert _zeta_minus_one_ord(ctx.from_rational(Fraction(1, 5))) == -4
     assert _zeta_minus_one_ord((z - ctx.one()) * Fraction(1, 5)) == -3
     assert _zeta_minus_one_ord(ctx.zero()) == INF
+    # a denominator prime to p is a unit: it does not lower the valuation
+    assert _zeta_minus_one_ord((z - ctx.one()) * Fraction(1, 2)) == 1
+    assert _zeta_minus_one_ord((z - ctx.one()) * Fraction(1, 10)) == -3
+
+
+def _valuation_by_inverse(c: CycNumber):
+    """Reference valuation: strip the denominator's p-part, then multiply by
+    (zeta - 1)^-1 while the coefficient-sum test says it divides.  Exact when
+    the remaining denominator is 1, a lower bound otherwise."""
+    if c.is_zero():
+        return INF
+    p = c.ctx.n
+    den_v = 0
+    d = c.den
+    while d % p == 0:
+        d //= p
+        den_v += 1
+    x = c * (p ** den_v)
+    v = 0
+    pi_inv = cyc_inverse(c.ctx.zeta_power(1) - c.ctx.one())
+    while x.den == 1 and sum(x.num) % p == 0:
+        x = x * pi_inv
+        v += 1
+    return v - den_v * (p - 1)
+
+
+@st.composite
+def valuation_inputs(draw):
+    """c * (zeta - 1)^k / p^j with c integral, and the p-free part u of the
+    denominator that the reference needs cleared."""
+    ctx = CycContext(draw(st.sampled_from((3, 5, 7))))
+    p = ctx.n
+    c = CycNumber(ctx, draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
+    c = c * (ctx.zeta_power(1) - ctx.one()) ** draw(st.integers(0, 2 * p))
+    u = draw(st.sampled_from((1, 2, 4, 11)))
+    return c * Fraction(1, p ** draw(st.integers(0, 3)) * u), u
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuation_inputs())
+def test_valuation_matches_inverse_reference(case):
+    c, u = case
+    assert _zeta_minus_one_ord(c) == _valuation_by_inverse(c * u)
+    assert _zeta_minus_one_ord(c * u) == _zeta_minus_one_ord(c)
 
 
 def test_weight_bounds():
