@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .cyclotomic import CycAlgebra
 from .errors import ParityError, PreconditionError, ResolvendError
@@ -61,6 +61,12 @@ from .wild import (
 # matrix has |G|^2 entries, CycContext(N) holds max(N, 2 phi(N) - 1) rows of
 # phi(N) ints, and an inverse in Q(zeta_N) costs O(phi(N)^3).
 MAX_SIZE = 255
+
+# tame-gen's certificate multiplies e^2 pairs of e-term values: e^4 products
+# in Q(zeta_N) of phi(N)^2 integer operations each.  Capping e^4 phi(N)^2
+# bounds its run time (e = N = 21, 2.8e7, takes about 3 s); the |G|^2
+# character transforms are bounded by MAX_SIZE (|G| = N = 243: about 3.5 s).
+MAX_TAME_WORK = 3 * 10**7
 
 
 def _bounded(name: str, n: int) -> int:
@@ -196,6 +202,9 @@ def cmd_tame_gen(args) -> tuple:
         raise PreconditionError(f"element {args.s} has order {element_order(group, s)}, "
                                 f"not e = {e}")
     conductor = _bounded("conductor", args.conductor or lcm(e, group.exponent))
+    work = e ** 4 * sum(gcd(k, conductor) == 1 for k in range(conductor)) ** 2
+    if work > MAX_TAME_WORK:
+        raise PreconditionError(f"work e^4 phi(N)^2 = {work} exceeds the limit {MAX_TAME_WORK}")
     a = tame_generator(group, s, _bounded("residue order", args.q), conductor)
     model = a.algebra
     table = []

@@ -227,12 +227,24 @@ class CycNumber:
             return NotImplemented
         return o + (-self)
 
+    def _scaled(self, num: int, den: int) -> "CycNumber":
+        return CycNumber(self.ctx, tuple(c * num for c in self.num), self.den * den)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        conv = _poly_mul(list(self.num), list(o.num))
-        return CycNumber(self.ctx, self.ctx.reduce(conv), self.den * o.den)
+        # a rational operand scales the vector; only general products need
+        # the polynomial product and the reduction mod Phi_N
+        if isinstance(other, CycNumber):
+            if other.ctx.n != self.ctx.n:
+                raise ConductorError(f"conductor mismatch {self.ctx.n} vs {other.ctx.n}")
+            if not any(other.num[1:]):
+                return self._scaled(other.num[0], other.den)
+            if not any(self.num[1:]):
+                return other._scaled(self.num[0], self.den)
+            conv = _poly_mul(list(self.num), list(other.num))
+            return CycNumber(self.ctx, self.ctx.reduce(conv), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -401,8 +413,10 @@ class CycAlgebra:
     """Adapter giving Q(zeta_N) the common coefficient-algebra surface.
 
     ``p`` is the residue characteristic used for integrality questions;
-    it must not divide the conductor, so content order is the honest
-    valuation floor at every prime above p.
+    it must not divide the conductor.  Then p is unramified in Q(zeta_N)
+    and ``val`` (the content order) is the minimum of v_P over the primes P
+    above p: a lower bound for v_P at each P, exact on p^m zeta^j, and
+    strict where p splits, e.g. (3 + zeta_3)(3 + zeta_3^2) = 7.
     """
 
     def __init__(self, ctx: CycContext, p: int | None = None):
@@ -438,6 +452,7 @@ class CycAlgebra:
         return cyc_root(x, e)
 
     def val(self, x: CycNumber):
+        """Lower bound min over P | p of v_P(x): the content order."""
         if self.p is None:
             raise PreconditionError("no residue characteristic attached")
         return content_ord(x, self.p)

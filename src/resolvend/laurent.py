@@ -5,17 +5,21 @@ The tame Puiseux model (``localfield``) and the wild formal algebra
 
     x = sum over k of c_k * X^k,   c_k in Q(zeta_N) nonzero,
 
-as a dict ``terms`` from an exponent key k to its coefficient.  They differ
-only in the exponent lattice: k in (1/e)Z for the Puiseux model, k in Z^n
-for the wild algebra.  This module holds everything else: coercion of
+as a dict ``terms`` from an integer exponent key k to its coefficient.
+They differ only in the exponent lattice and how a key names a point of
+it: the Puiseux key k in Z stands for pi^(k/e), so the lattice (1/e)Z is
+held scaled by e, and the wild key is a vector in Z^n.  Products add keys
+in integer arithmetic.  This module holds everything else: coercion of
 scalars, negation, subtraction, powers, equality, and the inverse and
 fractional powers of monomials.
 
 An algebra subclass supplies ``element`` (its element class), ``ctx``,
 ``key_type`` (turns a caller's exponent into a key), ``unit_key`` (the key
-of the constants), ``name`` (for error messages) and ``scale_key`` (k -> e*k
-inside the lattice).  An element subclass normalizes its keys in
-``__init__`` and defines ``__add__`` and ``__mul__``.
+of the constants), ``name`` (for error messages) and ``scale_key`` (the key
+of the e-th power of a monomial, with FractionalPowerError when it leaves
+the lattice).  An element subclass drops zero terms in ``__init__`` (the
+wild element also checks the key's arity) and defines ``__add__`` and
+``__mul__``.
 """
 
 from __future__ import annotations
@@ -122,4 +126,5 @@ class LaurentAlgebra:
         if len(x.terms) != 1:
             raise FractionalPowerError("fractional powers need a monomial")
         (k, c), = x.terms.items()
-        return self.element(self, {self.scale_key(k, e): cyc_root(c, e)})
+        root = cyc_root(c, e)  # a missing root is reported before a lattice error
+        return self.element(self, {self.scale_key(k, e): root})

@@ -4,10 +4,15 @@ The base field F has residue order q (a power of the odd prime p) and an
 abstract uniformizer pi; the modeled extension L = F(pi^(1/e)) is totally
 tamely ramified of odd degree e.  Elements are finite Puiseux sums
 
-    x = sum over r in (1/e)Z of c_r * pi^r,   c_r in Q(zeta_N),
+    x = sum over k in Z of c_k * pi^(k/e),   c_k in Q(zeta_N),
 
 with one session conductor N coprime to p, built on the Laurent core of
-``laurent``.  The valuation is normalized so v_L(pi^(1/e)) = 1; rational
+``laurent``.  The exponent lattice (1/e)Z is stored through the integer
+key k of pi^(k/e), so products add small integers and hashing never
+builds a Fraction; Fractions appear only at the API boundary
+(``monomial``/``pi_power`` take an exponent r and turn it into k = r*e,
+``to_json`` and ``repr`` print k/e).  The valuation is normalized so
+v_L(pi^(1/e)) = 1, so a term's pi-part contributes its key k; rational
 content contributes through ord_p, which reads the residue characteristic
 as the F-level uniformizer scale.
 
@@ -129,20 +134,13 @@ def prime_power_base(q: int) -> int:
 
 
 class PuiseuxElement(LaurentElement):
-    """Finite Puiseux sum over the model's conductor; keys are pi-exponents."""
+    """Finite Puiseux sum over the model's conductor; the key k stands for pi^(k/e)."""
 
     __slots__ = ()
 
     def __init__(self, algebra: "LocalModel", terms: dict):
-        clean = {}
-        for r, c in terms.items():
-            r = Fraction(r)
-            if algebra.e % r.denominator != 0:
-                raise FractionalPowerError(f"exponent {r} leaves (1/{algebra.e})Z")
-            if not c.is_zero():
-                clean[r] = c
         self.algebra = algebra
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -157,11 +155,11 @@ class PuiseuxElement(LaurentElement):
         if o is None:
             return NotImplemented
         terms: dict = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in o.terms.items():
-                r = r1 + r2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in o.terms.items():
+                k = k1 + k2
                 c = c1 * c2
-                terms[r] = terms[r] + c if r in terms else c
+                terms[k] = terms[k] + c if k in terms else c
         return PuiseuxElement(self.algebra, terms)
 
     __rmul__ = __mul__
@@ -169,7 +167,8 @@ class PuiseuxElement(LaurentElement):
     def __repr__(self):
         if not self.terms:
             return "Puiseux(0)"
-        bits = [f"pi^{r}*{c!r}" for r, c in sorted(self.terms.items())]
+        e = self.algebra.e
+        bits = [f"pi^{Fraction(k, e)}*{c!r}" for k, c in sorted(self.terms.items())]
         return "Puiseux(" + " + ".join(bits) + ")"
 
 
@@ -181,8 +180,7 @@ class LocalModel(LaurentAlgebra):
     """
 
     element = PuiseuxElement
-    key_type = Fraction
-    unit_key = Fraction(0)
+    unit_key = 0
     name = "finite model"
     _cache: dict = {}
 
@@ -212,8 +210,19 @@ class LocalModel(LaurentAlgebra):
     def __repr__(self):
         return f"LocalModel(e={self.e}, q={self.q}, N={self.ctx.n})"
 
-    def scale_key(self, r: Fraction, e) -> Fraction:
-        return r * e
+    def key_type(self, exponent) -> int:
+        """The key k = exponent * e of pi^exponent."""
+        r = Fraction(exponent)
+        if self.e % r.denominator:
+            raise FractionalPowerError(f"exponent {r} leaves (1/{self.e})Z")
+        return r.numerator * (self.e // r.denominator)
+
+    def scale_key(self, k: int, e) -> int:
+        """The key of (pi^(k/e_model))^e for a rational e."""
+        ke = k * e
+        if ke.denominator != 1:
+            raise FractionalPowerError(f"exponent {Fraction(k, self.e) * e} leaves (1/{self.e})Z")
+        return ke.numerator
 
     def pi_power(self, exponent) -> PuiseuxElement:
         """pi^exponent; the exponent denominator must divide e."""
@@ -223,11 +232,9 @@ class LocalModel(LaurentAlgebra):
 
     def sigma(self, x: PuiseuxElement) -> PuiseuxElement:
         """Inertia generator: pi^(k/e) picks up zeta_e^k."""
-        terms = {}
-        for r, c in x.terms.items():
-            k = int(r * self.e)
-            terms[r] = c * root_of_unity(self.ctx, self.e, k) if k % self.e else c
-        return PuiseuxElement(self, terms)
+        e = self.e
+        return PuiseuxElement(self, {k: c * root_of_unity(self.ctx, e, k) if k % e else c
+                                     for k, c in x.terms.items()})
 
     def phi(self, x: PuiseuxElement, k: int | None = None) -> PuiseuxElement:
         """Frobenius lift: coefficients through zeta_N -> zeta_N^k, default k=q."""
@@ -241,18 +248,19 @@ class LocalModel(LaurentAlgebra):
     # -- valuation and membership --------------------------------------------
 
     def val(self, x: PuiseuxElement):
+        """Lower bound for v_L: the min over terms of k + e * content order,
+        exact on monomials p^m zeta^j pi^(k/e)."""
         if not x.terms:
             return INF
-        return min(int(r * self.e) + self.e * content_ord(c, self.p) for r, c in x.terms.items())
+        return min(k + self.e * content_ord(c, self.p) for k, c in x.terms.items())
 
     def in_base_field(self, x: PuiseuxElement) -> bool:
-        """Integral pi-exponents and Frobenius-fixed coefficients."""
-        if any(r.denominator != 1 for r in x.terms):
+        """Integral pi-exponents (keys divisible by e) and Frobenius-fixed
+        coefficients."""
+        if any(k % self.e for k in x.terms):
             return False
         return self.phi(x) == x
 
     def to_json(self, x: PuiseuxElement) -> list:
-        out = []
-        for r in sorted(x.terms):
-            out.append({"exponent": str(r), "coeff": cyc_to_json(x.terms[r])})
-        return out
+        return [{"exponent": str(Fraction(k, self.e)), "coeff": cyc_to_json(x.terms[k])}
+                for k in sorted(x.terms)]

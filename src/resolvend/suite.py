@@ -169,54 +169,99 @@ def _invariant_chains(n: int, cap: int):
 # ---------------------------------------------------------------- check 01
 
 
+# The report's count is the number of rows in the 8192-row blocks before the
+# first mismatch, as the chunked matrix enumeration counted them.
+COUNT_BLOCK = 8192
+
+
+def _integrality_matrices(group: FiniteAbelianGroup):
+    """The characters, the pairing matrix times the exponent L (characters by
+    rows, elements s != 1 by columns), the character matrix and the
+    invariant factors, as int64 arrays."""
+    chars = list(characters(group))
+    big_l = group.exponent
+    elements = [s for s in group.elements() if s != group.identity]
+    rows = []
+    for chi in chars:
+        row = []
+        for s in elements:
+            scaled = stickelberger_pairing(group, chi, s) * big_l
+            if scaled.denominator != 1:
+                raise PreconditionError("pairing times exponent not integral")
+            row.append(scaled.numerator)
+        rows.append(row)
+    return (chars, np.array(rows, dtype=np.int64),
+            np.array([list(chi) for chi in chars], dtype=np.int64),
+            np.array(group.factors, dtype=np.int64))
+
+
+def _digit_rows(count: int):
+    """The 5^count vectors in [-2, 2]^count; row i has digits (i // 5^j) % 5 - 2."""
+    powers = 5 ** np.arange(count, dtype=np.int64)
+    return (np.arange(5 ** count, dtype=np.int64)[:, None] // powers[None, :]) % 5 - 2
+
+
+def _exhaustive_verdicts(pair_mat, big_l: int, det_mat, d_vec):
+    """(start, integral, trivial) for every vector psi in [-2, 2]^n, in
+    blocks of consecutive rows, computed meet-in-the-middle.
+
+    Row i = lo + 5^h hi splits psi into a low half (digits < h) and a high
+    half, and psi @ M is the sum of the two halves' products.  So psi is
+    integral exactly when the residues mod L of its low half equal those of
+    its negated high half on every pairing column, and its determinant is
+    trivial exactly when the same holds mod d_i on the character columns.
+    Each residue vector is coded as one integer (its mixed-radix value), the
+    halves are tabulated once (at most 5^5 rows), and each row's verdict is
+    one comparison of a low-half code with a negated high-half code.  One
+    block holds the 5^h rows of one high half."""
+    n = len(pair_mat)
+    h = (n + 1) // 2
+    lo_rows, hi_rows = _digit_rows(h), _digit_rows(n - h)
+
+    def codes(mat, moduli):
+        radix = np.cumprod(np.concatenate(([1], moduli[:-1])))
+        lo = ((lo_rows @ mat[:h]) % moduli) @ radix
+        neg_hi = ((-(hi_rows @ mat[h:])) % moduli) @ radix
+        return lo, neg_hi
+
+    pair_lo, pair_hi = codes(pair_mat, np.full(pair_mat.shape[1], big_l, dtype=np.int64))
+    det_lo, det_hi = codes(det_mat, d_vec)
+    for j in range(len(pair_hi)):
+        yield j * len(pair_lo), pair_lo == pair_hi[j], det_lo == det_hi[j]
+
+
+def _exhaustive_mismatch(pair_mat, big_l: int, det_mat, d_vec):
+    """(first mismatch, count) over all of [-2, 2]^n: the mismatch is
+    (psi, integral, trivial) for the first row whose verdicts differ, or None."""
+    n = len(pair_mat)
+    for start, integral, trivial in _exhaustive_verdicts(pair_mat, big_l, det_mat, d_vec):
+        differ = integral != trivial
+        if differ.any():
+            k = int(np.nonzero(differ)[0][0])
+            row = start + k
+            psi = [(row // 5 ** j) % 5 - 2 for j in range(n)]
+            return (psi, bool(integral[k]), bool(trivial[k])), row - row % COUNT_BLOCK
+    return None, 5 ** n
+
+
 def check_01_integrality(cfg: SuiteConfig):
     """Integrality of the image group-ring element is equivalent to
     triviality of the determinant character: exhaustive for |G| <= 9 over
-    coefficients in [-2, 2], sampled beyond, with a scalar cross-check."""
+    coefficients in [-2, 2] (meet-in-the-middle, see
+    ``_exhaustive_verdicts``), sampled beyond, with a scalar cross-check."""
     identity = ("a character combination has integral image coefficients "
                 "exactly when its determinant character is trivial")
     for group in odd_abelian_groups(cfg.max_order):
-        chars = list(characters(group))
+        chars, pair_mat, det_mat, d_vec = _integrality_matrices(group)
         n = group.order
         big_l = group.exponent
-        elements = [s for s in group.elements() if s != group.identity]
-        rows = []
-        for chi in chars:
-            row = []
-            for s in elements:
-                scaled = stickelberger_pairing(group, chi, s) * big_l
-                if scaled.denominator != 1:
-                    raise PreconditionError("pairing times exponent not integral")
-                row.append(scaled.numerator)
-            rows.append(row)
-        pair_mat = np.array(rows, dtype=np.int64)
-        det_mat = np.array([list(chi) for chi in chars], dtype=np.int64)
-        d_vec = np.array(group.factors, dtype=np.int64)
 
         exhaustive = n <= 9
         rng = random.Random(f"{cfg.seed}:integrality:{group.spec}")
-        mismatch = None
-        checked = 0
-
-        def verdicts(block):
-            integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
-            trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
-            return integral, trivial
 
         if exhaustive:
             total = 5 ** n
-            powers = 5 ** np.arange(n, dtype=np.int64)
-            # 8192-row chunks keep each temporary array under 1 MB
-            for start in range(0, total, 8192):
-                stop = min(start + 8192, total)
-                idx = np.arange(start, stop, dtype=np.int64)
-                block = (idx[:, None] // powers[None, :]) % 5 - 2
-                integral, trivial = verdicts(block)
-                if not np.array_equal(integral, trivial):
-                    k = int(np.nonzero(integral != trivial)[0][0])
-                    mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
-                    break
-                checked += stop - start
+            mismatch, checked = _exhaustive_mismatch(pair_mat, big_l, det_mat, d_vec)
             sample_vecs = []
             for _ in range(8):
                 k = rng.randrange(total)
@@ -225,7 +270,9 @@ def check_01_integrality(cfg: SuiteConfig):
             count = 10_000
             flat = rng.choices((-2, -1, 0, 1, 2), k=count * n)
             block = np.array(flat, dtype=np.int64).reshape(count, n)
-            integral, trivial = verdicts(block)
+            integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
+            trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
+            mismatch = None
             if not np.array_equal(integral, trivial):
                 k = int(np.nonzero(integral != trivial)[0][0])
                 mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))

@@ -166,7 +166,7 @@ def basis_change_determinant(group: FiniteAbelianGroup, s: GroupElement, q: int,
     rows = []
     for g in group.cyclic_span(group.element(s)):
         x = a.value(g)
-        rows.append([x.terms.get(Fraction(k + lo, e), model.ctx.zero()) for k in range(e)])
+        rows.append([x.terms.get(k + lo, model.ctx.zero()) for k in range(e)])
     return cyc_det(rows)
 
 

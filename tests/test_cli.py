@@ -167,6 +167,27 @@ def test_size_cap_exits_2_before_any_context(capsys):
     assert CycContext._cache == before
 
 
+def test_tame_gen_work_cap_exits_2_before_any_context(capsys):
+    before = dict(CycContext._cache)
+    # e^4 phi(N)^2 is 1.7e8 and 1.3e11: each ran for 10 s to minutes
+    for argv in (["tame-gen", "--group", "27", "--e", "27", "--q", "109", "--s", "1"],
+                 ["tame-gen", "--group", "81", "--e", "81", "--q", "163", "--s", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert data["status"] == "error"
+        assert "exceeds the limit" in data["result"]["error"]
+    assert CycContext._cache == before
+    # the largest cases the benchmark runs stay inside the cap
+    for argv in (["--group", "3,3", "--e", "3", "--q", "7", "--s", "1,0", "--conductor", "57"],
+                 ["--group", "9", "--e", "9", "--q", "19", "--s", "1"]):
+        code, out = run_cli(capsys, "tame-gen", *argv)
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["pairing"])  # missing --group

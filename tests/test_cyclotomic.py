@@ -9,6 +9,7 @@ from resolvend.cyclotomic import (
     CycAlgebra,
     CycContext,
     CycNumber,
+    _poly_mul,
     content_ord,
     cyc_det,
     cyc_from_json,
@@ -232,3 +233,65 @@ def test_algebra_valuation_and_powers():
     # a root of unity whose exponent does not divide is rejected separately
     with pytest.raises(FractionalPowerError):
         alg.frac_power(z, Fraction(1, 2))
+
+
+def _product_by_reduction(x: CycNumber, y: CycNumber) -> CycNumber:
+    """Reference product: polynomial product, then reduction mod Phi_N."""
+    return CycNumber(x.ctx, x.ctx.reduce(_poly_mul(list(x.num), list(y.num))), x.den * y.den)
+
+
+@st.composite
+def scalar_products(draw):
+    ctx = CycContext(draw(st.sampled_from((3, 9, 15, 57))))
+    num = draw(st.lists(st.integers(-4, 4), min_size=ctx.phi, max_size=ctx.phi))
+    x = CycNumber(ctx, num, draw(st.integers(1, 12)))
+    r = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 30)))
+    kind = draw(st.sampled_from(("int", "fraction", "cyc")))
+    if kind == "int":
+        r = Fraction(r.numerator)
+    scalar = r.numerator if kind == "int" else r if kind == "fraction" else ctx.from_rational(r)
+    return x, scalar, ctx.from_rational(r)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scalar_products())
+def test_scalar_product_matches_reduction(data):
+    x, scalar, as_cyc = data
+    expected = _product_by_reduction(x, as_cyc)
+    for got in (x * scalar, scalar * x, as_cyc * x):
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+@st.composite
+def content_inputs(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    ctx = CycContext(draw(st.sampled_from([n for n in (3, 5, 7, 9, 15, 21) if n % p])))
+    m = draw(st.integers(-3, 3))
+    j = draw(st.integers(0, ctx.n - 1))
+
+    def general():
+        num = draw(st.lists(st.integers(-4, 4), min_size=ctx.phi, max_size=ctx.phi))
+        scale = Fraction(p) ** draw(st.integers(-2, 2))
+        return CycNumber(ctx, num, draw(st.sampled_from((1, 2, p)))) * scale
+
+    return CycAlgebra(ctx, p), m, j, general(), general()
+
+
+@settings(max_examples=80, deadline=None)
+@given(content_inputs())
+def test_algebra_val_is_a_lower_bound(data):
+    alg, m, j, x, y = data
+    # exact on monomials p^m zeta^j
+    assert alg.val(alg.ctx.zeta_power(j) * Fraction(alg.p) ** m) == m
+    assert alg.val(x + y) >= min(alg.val(x), alg.val(y))
+    assert alg.val(x * y) >= alg.val(x) + alg.val(y)
+
+
+def test_algebra_val_is_only_a_lower_bound():
+    # 7 = (3 + zeta_3)(3 + zeta_3^2) splits: each factor lies in one prime above 7
+    ctx = CycContext(3)
+    alg = CycAlgebra(ctx, 7)
+    x, y = ctx.zeta_power(1) + 3, ctx.zeta_power(2) + 3
+    assert x * y == ctx.from_rational(7)
+    assert alg.val(x) == alg.val(y) == 0
+    assert alg.val(x * y) == 1

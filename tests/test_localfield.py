@@ -5,11 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resolvend.cyclotomic import CycContext, cyc_from_json
+from resolvend.cyclotomic import (
+    CycContext,
+    CycNumber,
+    content_ord,
+    cyc_from_json,
+    cyc_inverse,
+    cyc_root,
+    cyc_to_json,
+    galois_apply,
+    root_of_unity,
+)
 from resolvend.errors import (
     ConductorError,
     FractionalPowerError,
+    NotARootError,
     NotInvertibleError,
     ParityError,
     PreconditionError,
@@ -245,3 +258,184 @@ def test_conductor_mismatch_on_import():
     foreign = CycContext(5).one()
     with pytest.raises(ConductorError):
         model.from_cyc(foreign)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-keyed reference model and the lower-bound property of val
+
+
+class RefPuiseux:
+    """Reference Puiseux sum keyed by the Fraction exponent r of pi^r, the
+    representation the integer keys replaced; kept as a test oracle."""
+
+    def __init__(self, model, terms):
+        clean = {}
+        for r, c in terms.items():
+            r = Fraction(r)
+            if model.e % r.denominator != 0:
+                raise FractionalPowerError(f"exponent {r} leaves (1/{model.e})Z")
+            if not c.is_zero():
+                clean[r] = c
+        self.model = model
+        self.terms = clean
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for r, c in other.terms.items():
+            terms[r] = terms[r] + c if r in terms else c
+        return RefPuiseux(self.model, terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for r1, c1 in self.terms.items():
+            for r2, c2 in other.terms.items():
+                r, c = r1 + r2, c1 * c2
+                terms[r] = terms[r] + c if r in terms else c
+        return RefPuiseux(self.model, terms)
+
+    def inv(self):
+        (r, c), = self.terms.items()
+        return RefPuiseux(self.model, {-r: cyc_inverse(c)})
+
+    def frac_power(self, e):
+        (r, c), = self.terms.items()
+        root = cyc_root(c, e)
+        return RefPuiseux(self.model, {r * e: root})
+
+    def sigma(self):
+        m = self.model
+        terms = {}
+        for r, c in self.terms.items():
+            k = int(r * m.e)
+            terms[r] = c * root_of_unity(m.ctx, m.e, k) if k % m.e else c
+        return RefPuiseux(m, terms)
+
+    def phi(self):
+        return RefPuiseux(self.model, {r: galois_apply(c, self.model.q)
+                                       for r, c in self.terms.items()})
+
+    def val(self):
+        m = self.model
+        if not self.terms:
+            return INF
+        return min(int(r * m.e) + m.e * content_ord(c, m.p) for r, c in self.terms.items())
+
+    def in_base_field(self):
+        if any(r.denominator != 1 for r in self.terms):
+            return False
+        return self.phi().terms == self.terms
+
+    def to_json(self):
+        return [{"exponent": str(r), "coeff": cyc_to_json(self.terms[r])}
+                for r in sorted(self.terms)]
+
+    def __repr__(self):
+        if not self.terms:
+            return "Puiseux(0)"
+        bits = [f"pi^{r}*{c!r}" for r, c in sorted(self.terms.items())]
+        return "Puiseux(" + " + ".join(bits) + ")"
+
+
+MODELS = {3: (3, 7, 9), 9: (9, 19, 9)}
+
+
+@st.composite
+def coefficients(draw, model):
+    """A general coefficient, or p^m zeta^j, whose content order is m."""
+    ctx, p = model.ctx, model.p
+    if draw(st.booleans()):
+        num = draw(st.lists(st.integers(-3, 3), min_size=ctx.phi, max_size=ctx.phi))
+        den = draw(st.sampled_from((1, 2, p, 3 * p, p * p)))
+        return CycNumber(ctx, [c * draw(st.sampled_from((1, 1, p))) for c in num], den)
+    m = draw(st.integers(-2, 2))
+    return ctx.zeta_power(draw(st.integers(0, ctx.n - 1))) * Fraction(p) ** m
+
+
+@st.composite
+def element_pairs(draw, model, max_terms=3):
+    """(PuiseuxElement, RefPuiseux) built from the same terms."""
+    e = model.e
+    real, ref = model.zero(), RefPuiseux(model, {})
+    for _ in range(draw(st.integers(0, max_terms))):
+        r = Fraction(draw(st.integers(-2 * e, 2 * e)), e)
+        c = draw(coefficients(model))
+        real = real + model.monomial(r, c)
+        ref = ref + RefPuiseux(model, {r: c})
+    return real, ref
+
+
+def assert_same(x, ref):
+    model = x.algebra
+    assert {Fraction(k, model.e): c for k, c in x.terms.items()} == ref.terms
+    assert model.to_json(x) == ref.to_json()
+    assert repr(x) == repr(ref)
+    assert model.val(x) == ref.val()
+    assert model.in_base_field(x) == ref.in_base_field()
+
+
+@st.composite
+def model_and_pairs(draw, count=2, max_terms=3):
+    model = LocalModel(*MODELS[draw(st.sampled_from(sorted(MODELS)))])
+    return model, [draw(element_pairs(model, max_terms)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs())
+def test_integer_keys_match_fraction_reference(data):
+    model, ((x, rx), (y, ry)) = data
+    for real, ref in ((x, rx), (y, ry), (x + y, rx + ry), (x * y, rx * ry)):
+        assert_same(real, ref)
+    assert_same(model.sigma(x), rx.sigma())
+    assert_same(model.phi(x), rx.phi())
+    if len(x.terms) == 1:
+        assert_same(model.inv(x), rx.inv())
+
+
+FRACTIONAL = [Fraction(a, b) for a, b in ((1, 3), (2, 3), (-1, 3), (1, 9), (-4, 9), (1, 2), (5, 3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), st.integers(-18, 18), st.integers(0, 8),
+       st.sampled_from((1, 1, 2)), st.sampled_from(FRACTIONAL))
+def test_frac_power_matches_fraction_reference(e, k, j, scale, f):
+    """Results, and errors in the same order: a missing coefficient root
+    before an exponent that leaves (1/e)Z."""
+    model = LocalModel(*MODELS[e])
+    c = model.ctx.zeta_power(j) * scale
+    x, rx = model.monomial(Fraction(k, e), c), RefPuiseux(model, {Fraction(k, e): c})
+    try:
+        expected = rx.frac_power(f)
+    except (FractionalPowerError, NotARootError) as exc:
+        with pytest.raises(type(exc)) as got:
+            model.frac_power(x, f)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same(model.frac_power(x, f), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), st.integers(-20, 20), st.integers(-3, 3),
+       st.integers(0, 8))
+def test_val_is_exact_on_monomials(e, k, m, j):
+    model = LocalModel(*MODELS[e])
+    c = model.ctx.zeta_power(j) * Fraction(model.p) ** m
+    assert model.val(model.monomial(Fraction(k, e), c)) == k + e * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs())
+def test_val_is_a_lower_bound_on_sums_and_products(data):
+    model, ((x, _), (y, _)) = data
+    assert model.val(x + y) >= min(model.val(x), model.val(y))
+    assert model.val(x * y) >= model.val(x) + model.val(y)
+
+
+def test_val_is_only_a_lower_bound():
+    # 7 splits in Q(zeta_3): (3 + zeta_3)(3 + zeta_3^2) = 7, so both factors
+    # have content order 0 while their product has content order 1
+    model = LocalModel(3, 7, 9)
+    x = model.from_cyc(model.ctx.zeta_power(3) + 3)
+    y = model.from_cyc(model.ctx.zeta_power(6) + 3)
+    assert x * y == model.from_rational(7)
+    assert model.val(x) == model.val(y) == 0
+    assert model.val(x * y) == 3 > model.val(x) + model.val(y)

@@ -1,12 +1,25 @@
 """Suite runner: selection, determinism, shapes, and mutation wiring."""
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from resolvend import faults
 from resolvend.errors import PreconditionError
 from resolvend.groups import FiniteAbelianGroup
-from resolvend.suite import odd_abelian_groups, run_suite
+from resolvend.suite import (
+    _exhaustive_mismatch,
+    _exhaustive_verdicts,
+    _integrality_matrices,
+    odd_abelian_groups,
+    run_suite,
+)
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def test_fast_checks_pass_and_are_deterministic():
@@ -83,3 +96,70 @@ def test_odd_abelian_groups_enumeration():
     small = list(odd_abelian_groups(9))
     assert {g.spec for g in small} == {"3", "5", "7", "9", "3,3"}
     assert FiniteAbelianGroup((3, 9)) in list(odd_abelian_groups(27))
+
+
+def _matmul_verdicts(pair_mat, big_l, det_mat, d_vec):
+    """Reference enumeration: every vector of [-2, 2]^n through the int64
+    matrix products, in 8192-row chunks; returns the verdict arrays, the
+    first mismatch and the count as check 01 reported them."""
+    n = len(pair_mat)
+    total = 5 ** n
+    powers = 5 ** np.arange(n, dtype=np.int64)
+    integral_parts, trivial_parts = [], []
+    mismatch, checked = None, 0
+    for start in range(0, total, 8192):
+        stop = min(start + 8192, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        block = (idx[:, None] // powers[None, :]) % 5 - 2
+        integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
+        trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
+        integral_parts.append(integral)
+        trivial_parts.append(trivial)
+        if mismatch is None:
+            if np.array_equal(integral, trivial):
+                checked += stop - start
+            else:
+                k = int(np.nonzero(integral != trivial)[0][0])
+                mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
+    return np.concatenate(integral_parts), np.concatenate(trivial_parts), mismatch, checked
+
+
+def _meet_in_the_middle(pair_mat, big_l, det_mat, d_vec):
+    blocks = list(_exhaustive_verdicts(pair_mat, big_l, det_mat, d_vec))
+    assert [start for start, _, _ in blocks] == [j * len(blocks[0][1]) for j in range(len(blocks))]
+    assert all(len(b[1]) <= 5 ** 5 for b in blocks)
+    return (np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks]),
+            *_exhaustive_mismatch(pair_mat, big_l, det_mat, d_vec))
+
+
+@pytest.mark.parametrize("group", odd_abelian_groups(9), ids=lambda g: g.spec)
+def test_meet_in_the_middle_matches_matmul_enumeration(group):
+    _, pair_mat, det_mat, d_vec = _integrality_matrices(group)
+    big_l = group.exponent
+    ref = _matmul_verdicts(pair_mat, big_l, det_mat, d_vec)
+    fast = _meet_in_the_middle(pair_mat, big_l, det_mat, d_vec)
+    assert np.array_equal(fast[0], ref[0])
+    assert np.array_equal(fast[1], ref[1])
+    assert fast[2:] == ref[2:] == (None, 5 ** group.order)
+    # planted faults: one pairing entry off by one breaks the first row;
+    # +1 and -1 in the two top characters' rows stay invisible until their
+    # digits differ (row 78,135, count 73,728 at order 9)
+    n = group.order
+    one_entry = pair_mat.copy()
+    one_entry[n // 2, n // 3] += 1
+    top_pair = pair_mat.copy()
+    top_pair[n - 1, 0] += 1
+    top_pair[n - 2, 0] -= 1
+    for planted in (one_entry, top_pair):
+        ref = _matmul_verdicts(planted, big_l, det_mat, d_vec)
+        fast = _meet_in_the_middle(planted, big_l, det_mat, d_vec)
+        assert np.array_equal(fast[0], ref[0])
+        assert np.array_equal(fast[1], ref[1])
+        assert fast[2:] == ref[2:]
+    assert _exhaustive_mismatch(one_entry, big_l, det_mat, d_vec)[0] is not None
+
+
+def test_default_suite_report_bytes_are_pinned():
+    expected = json.loads(DIGESTS.read_text())["suite-cold"]["0"]
+    text = json.dumps(run_suite(seed=0).to_json(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
