@@ -42,7 +42,6 @@ from .stickelberger import (
 from .suite import ALLOWED_E, ALLOWED_P, MAX_ORDER, run_suite
 from .tame import (
     basis_change_determinant,
-    build_model,
     inversion_identity_check,
     tame_generator,
 )
@@ -348,6 +347,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     params = _public_params(args)
     try:
+        # argparse before Python 3.12 parses --opt=-- as [], skipping type and choices
+        for name, value in params.items():
+            if isinstance(value, list):
+                raise PreconditionError(f"option --{name.replace('_', '-')} has no value")
         result, ok = args.handler(args)
     except ResolvendError as exc:
         envelope = {"command": args.command, "params": params,

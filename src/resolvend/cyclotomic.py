@@ -145,15 +145,6 @@ class CycContext:
         r = Fraction(r)
         return CycNumber(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
 
-    def from_fractions(self, coeffs) -> "CycNumber":
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.phi:
-            raise ConductorError(f"need {self.phi} coefficients for conductor {self.n}")
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return CycNumber(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
-
 
 class CycNumber:
     """Element of Q(zeta_N): integer vector / common positive denominator."""
@@ -402,11 +393,6 @@ def cyc_det(rows) -> CycNumber:
 
 def cyc_to_json(x: CycNumber) -> dict:
     return {"N": x.ctx.n, "coeffs": [f"{c.numerator}/{c.denominator}" for c in x.coefficients()]}
-
-
-def cyc_from_json(data: dict) -> CycNumber:
-    ctx = CycContext(int(data["N"]))
-    return ctx.from_fractions([Fraction(c) for c in data["coeffs"]])
 
 
 class CycAlgebra:

@@ -45,10 +45,6 @@ class FractionalPowerError(ResolvendError):
     """Fractional power not representable in the coefficient algebra."""
 
 
-class EquivarianceError(ResolvendError):
-    """Input map does not commute with the modeled Galois action."""
-
-
 class NotGaloisOrbitError(ResolvendError):
     """No group element realizes the requested coefficient automorphism."""
 

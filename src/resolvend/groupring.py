@@ -1,6 +1,12 @@
 """Resolvends: group-ring elements r(a) = sum_s a(s) s^{-1} attached to maps
 a : G -> coefficients, together with the character-space isomorphism.
 
+One type, ``Resolvend``, is both: it stores the map (``values[s]`` = a(s),
+read through ``value``) and shows the group-ring coefficients
+c_u = a(u^{-1}) as ``coeffs``.  The product r(a1) r(a2) is r of the
+convolution of a1 and a2, and ``involution`` (u -> u^{-1} on coefficients,
+s -> s^{-1} on the map) is the one reindexing.
+
 The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
 ``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
@@ -19,8 +25,12 @@ from .groups import FiniteAbelianGroup, GroupElement
 from .stickelberger import DetKernelBasis, char_inv, char_value, characters, stickelberger_pairing
 
 
-class GMap:
-    """Total map G -> A; entries missing from ``values`` read as zero."""
+class Resolvend:
+    """The group-ring element r(a) = sum_s a(s) s^{-1} of a map a : G -> A.
+
+    It is stored as the map: ``values[s] = a(s)``, entries missing from
+    ``values`` read as zero.  ``coeffs`` is the group-ring view
+    c_u = a(u^{-1})."""
 
     def __init__(self, group: FiniteAbelianGroup, algebra, values: dict):
         self.group = group
@@ -30,88 +40,59 @@ class GMap:
     def value(self, s: GroupElement):
         return self.values.get(s, self.algebra.zero())
 
-    def translate(self, t: GroupElement) -> "GMap":
+    @property
+    def coeffs(self) -> dict:
+        """Group-ring coefficients {u: c_u}, a fresh dict on each access."""
+        return {self.group.neg(s): v for s, v in self.values.items()}
+
+    def translate(self, t: GroupElement) -> "Resolvend":
         """(t . a)(s) = a(s t)."""
-        return GMap(self.group, self.algebra,
-                    {self.group.sub(s, t): v for s, v in self.values.items()})
+        return Resolvend(self.group, self.algebra,
+                         {self.group.sub(s, t): v for s, v in self.values.items()})
 
-    def map_values(self, fn) -> "GMap":
-        return GMap(self.group, self.algebra, {s: fn(v) for s, v in self.values.items()})
+    def map_values(self, fn) -> "Resolvend":
+        return Resolvend(self.group, self.algebra, {s: fn(v) for s, v in self.values.items()})
 
-    def into(self, algebra, fn) -> "GMap":
-        return GMap(self.group, algebra, {s: fn(v) for s, v in self.values.items()})
+    def into(self, algebra, fn) -> "Resolvend":
+        return Resolvend(self.group, algebra, {s: fn(v) for s, v in self.values.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, GMap) and self.group == other.group
+        return (isinstance(other, Resolvend) and self.group == other.group
                 and self.values == other.values)
 
+    def __mul__(self, other):
+        if not isinstance(other, Resolvend):
+            return NotImplemented
+        return resolvend_product_transport(self, other)
+
     def __repr__(self):
-        return f"GMap({self.group.spec}, {len(self.values)} nonzero)"
+        return f"Resolvend({self.group.spec}, {len(self.values)} nonzero)"
 
 
-def unit_map(group: FiniteAbelianGroup, algebra, overrides: dict | None = None) -> GMap:
+def unit_map(group: FiniteAbelianGroup, algebra, overrides: dict | None = None) -> Resolvend:
     """Map with value one everywhere, then explicit overrides."""
     values = {s: algebra.one() for s in group.elements()}
     if overrides:
         for s, v in overrides.items():
             values[group.validate(s)] = v
-    return GMap(group, algebra, values)
-
-
-class Resolvend:
-    """Group-ring element sum_u coeffs[u] * u."""
-
-    def __init__(self, group: FiniteAbelianGroup, algebra, coeffs: dict):
-        self.group = group
-        self.algebra = algebra
-        self.coeffs = {u: v for u, v in coeffs.items() if not algebra.is_zero(v)}
-
-    def coeff(self, u: GroupElement):
-        return self.coeffs.get(u, self.algebra.zero())
-
-    def __eq__(self, other):
-        return (isinstance(other, Resolvend) and self.group == other.group
-                and self.coeffs == other.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, Resolvend):
-            return NotImplemented
-        out: dict = {}
-        for u, x in self.coeffs.items():
-            for w, y in other.coeffs.items():
-                t = self.group.add(u, w)
-                prod = x * y
-                out[t] = out[t] + prod if t in out else prod
-        return Resolvend(self.group, self.algebra, out)
-
-    def __repr__(self):
-        return f"Resolvend({self.group.spec}, {len(self.coeffs)} nonzero)"
+    return Resolvend(group, algebra, values)
 
 
 def delta_resolvend(group: FiniteAbelianGroup, algebra, t: GroupElement) -> Resolvend:
-    return Resolvend(group, algebra, {group.validate(t): algebra.one()})
+    """The group element t, i.e. the map with value one at t^{-1}."""
+    return Resolvend(group, algebra, {group.neg(group.validate(t)): algebra.one()})
 
 
 def identity_resolvend(group: FiniteAbelianGroup, algebra) -> Resolvend:
     return delta_resolvend(group, algebra, group.identity)
 
 
-def to_resolvend(a: GMap) -> Resolvend:
-    """r(a) = sum_s a(s) s^{-1}: coefficient at u is a(u^{-1})."""
-    return Resolvend(a.group, a.algebra,
-                     {a.group.neg(s): v for s, v in a.values.items()})
-
-
-def from_resolvend(r: Resolvend) -> GMap:
-    return GMap(r.group, r.algebra, {r.group.neg(u): v for u, v in r.coeffs.items()})
-
-
 def involution(r: Resolvend) -> Resolvend:
     """Coefficient-fixing involution s -> s^{-1}."""
-    return Resolvend(r.group, r.algebra, {r.group.neg(u): v for u, v in r.coeffs.items()})
+    return Resolvend(r.group, r.algebra, {r.group.neg(s): v for s, v in r.values.items()})
 
 
-def resolvent(a: GMap, chi) -> object:
+def resolvent(a: Resolvend, chi) -> object:
     """(a | chi) = sum_s a(s) chi(s)^{-1}."""
     alg = a.algebra
     acc = alg.zero()
@@ -129,38 +110,40 @@ class CharacterVector:
         self.algebra = algebra
         self.values = dict(values)
 
-    def value(self, chi):
-        return self.values[chi]
-
     def __eq__(self, other):
         return (isinstance(other, CharacterVector) and self.group == other.group
                 and self.values == other.values)
 
 
 def to_character_space(r: Resolvend) -> CharacterVector:
-    """Evaluate sum_u c_u u at every character; a ring isomorphism."""
+    """Evaluate sum_u c_u u = sum_s a(s) s^{-1} at every character; a ring
+    isomorphism."""
     alg = r.algebra
+    group = r.group
     values = {}
-    for chi in characters(r.group):
+    for chi in characters(group):
+        ichi = char_inv(group, chi)
         acc = alg.zero()
-        for u, c in r.coeffs.items():
-            acc = acc + c * char_value(r.group, chi, u, alg.ctx)
+        for s, v in r.values.items():
+            acc = acc + v * char_value(group, ichi, s, alg.ctx)
         values[chi] = acc
-    return CharacterVector(r.group, alg, values)
+    return CharacterVector(group, alg, values)
 
 
 def from_character_space(v: CharacterVector) -> Resolvend:
-    """Inverse of to_character_space by orthogonality (divides by |G|)."""
+    """Inverse of to_character_space by orthogonality (divides by |G|):
+    c_u = (1/|G|) sum_chi v(chi) chi(u)^{-1}, stored as a(u^{-1})."""
     alg = v.algebra
     group = v.group
     scale = Fraction(1, group.order)
-    coeffs = {}
+    values = {}
     for u in group.elements():
+        s = group.neg(u)
         acc = alg.zero()
         for chi, val in v.values.items():
-            acc = acc + val * char_value(group, char_inv(group, chi), u, alg.ctx)
-        coeffs[u] = acc * scale
-    return Resolvend(group, alg, coeffs)
+            acc = acc + val * char_value(group, chi, s, alg.ctx)
+        values[s] = acc * scale
+    return Resolvend(group, alg, values)
 
 
 def invert_resolvend(r: Resolvend) -> Resolvend:
@@ -174,19 +157,19 @@ def invert_resolvend(r: Resolvend) -> Resolvend:
     return from_character_space(CharacterVector(r.group, r.algebra, inv_values))
 
 
-def trace_pairing_identity_check(a: GMap, b: GMap) -> bool:
+def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
     """r(a) r(b)^{[-1]} = sum_s Tr((s.a) b) s^{-1}, both sides computed
     independently: left in the group ring, right through the trace form."""
-    lhs = to_resolvend(a) * involution(to_resolvend(b))
+    lhs = a * involution(b)
     group, alg = a.group, a.algebra
-    coeffs = {}
+    values = {}
     for s in group.elements():
-        shifted = a.translate(group.neg(s))  # (s^{-1} . a)(t) = a(t s^{-1})
+        shifted = a.translate(s)  # (s . a)(t) = a(t s)
         acc = alg.zero()
         for t in group.elements():
             acc = acc + shifted.value(t) * b.value(t)
-        coeffs[s] = acc
-    rhs = Resolvend(group, alg, coeffs)
+        values[s] = acc
+    rhs = Resolvend(group, alg, values)
     return lhs == rhs
 
 
@@ -202,7 +185,7 @@ class CertificateReport:
                 "unit_ok": self.unit_ok, "witnesses": list(self.witnesses)}
 
 
-def generator_certificate(a: GMap, v_floor: int) -> CertificateReport:
+def generator_certificate(a: Resolvend, v_floor: int) -> CertificateReport:
     """Generator test over a local model: valuation floor on all values of a,
     then u = r(a) r(a)^{[-1]} integral, base-field rational, with integral
     inverse.  Witnesses name the first few failures."""
@@ -215,9 +198,8 @@ def generator_certificate(a: GMap, v_floor: int) -> CertificateReport:
             membership_ok = False
             witnesses.append(f"v(a({','.join(map(str, s))})) = {val} < {v_floor}")
     unit_ok = True
-    r = to_resolvend(a)
     try:
-        u = r * involution(r)
+        u = a * involution(a)
         for g, c in u.coeffs.items():
             if model.val(c) < 0:
                 unit_ok = False
@@ -239,7 +221,7 @@ def generator_certificate(a: GMap, v_floor: int) -> CertificateReport:
     return CertificateReport(membership_ok and unit_ok, membership_ok, unit_ok, witnesses[:8])
 
 
-def unit_certificate(a: GMap) -> CertificateReport:
+def unit_certificate(a: Resolvend) -> CertificateReport:
     """Unramified-style unit test: r(a) and r(a)^{-1} both integral."""
     alg = a.algebra
     witnesses: list[str] = []
@@ -249,7 +231,7 @@ def unit_certificate(a: GMap) -> CertificateReport:
             ok = False
             witnesses.append(f"v(a({s})) = {alg.val(v)} < 0")
     try:
-        r_inv = invert_resolvend(to_resolvend(a))
+        r_inv = invert_resolvend(a)
         for g, c in r_inv.coeffs.items():
             if alg.val(c) < 0:
                 ok = False
@@ -260,7 +242,7 @@ def unit_certificate(a: GMap) -> CertificateReport:
     return CertificateReport(ok, ok, ok, witnesses[:8])
 
 
-def transpose_lift(g: GMap) -> CharacterVector:
+def transpose_lift(g: Resolvend) -> CharacterVector:
     """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
     g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra."""
     group, alg = g.group, g.algebra
@@ -280,13 +262,8 @@ def transpose_lift(g: GMap) -> CharacterVector:
     return CharacterVector(group, alg, values)
 
 
-def resolvend_inverse_transport(a: GMap) -> GMap:
-    """The map a' with r(a') = r(a)^{-1}."""
-    return from_resolvend(invert_resolvend(to_resolvend(a)))
-
-
-def resolvend_product_transport(a1: GMap, a2: GMap) -> GMap:
-    """The map a with r(a) = r(a1) r(a2); direct convolution on G."""
+def resolvend_product_transport(a1: Resolvend, a2: Resolvend) -> Resolvend:
+    """r(a1) r(a2), which is r(a) for the convolution a of a1 and a2 on G."""
     group, alg = a1.group, a1.algebra
     out: dict = {}
     for s1, v1 in a1.values.items():
@@ -294,7 +271,7 @@ def resolvend_product_transport(a1: GMap, a2: GMap) -> GMap:
             s = group.add(s1, s2)
             prod = v1 * v2
             out[s] = out[s] + prod if s in out else prod
-    return GMap(group, alg, out)
+    return Resolvend(group, alg, out)
 
 
 def reduced_equal(r1: Resolvend, r2: Resolvend, basis: DetKernelBasis) -> bool:
@@ -317,7 +294,7 @@ def reduced_equal(r1: Resolvend, r2: Resolvend, basis: DetKernelBasis) -> bool:
     return True
 
 
-def associated_hom(a: GMap, automorphisms) -> dict[str, GroupElement]:
+def associated_hom(a: Resolvend, automorphisms) -> dict[str, GroupElement]:
     """For each named coefficient automorphism w, the unique t in G with
     w(a) = t . a (equivalently w(r(a)) = r(a) t)."""
     group = a.group

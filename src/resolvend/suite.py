@@ -23,20 +23,17 @@ from .cyclotomic import CycAlgebra, CycContext
 from .errors import PreconditionError, ResolvendError
 from .groups import FiniteAbelianGroup
 from .groupring import (
-    GMap,
+    Resolvend,
     associated_hom,
     delta_resolvend,
     from_character_space,
-    from_resolvend,
     generator_certificate,
     identity_resolvend,
     involution,
+    invert_resolvend,
     reduced_equal,
-    resolvend_inverse_transport,
-    resolvend_product_transport,
     resolvent,
     to_character_space,
-    to_resolvend,
     trace_pairing_identity_check,
     transpose_lift,
     unit_certificate,
@@ -244,6 +241,24 @@ def _exhaustive_mismatch(pair_mat, big_l: int, det_mat, d_vec):
     return None, 5 ** n
 
 
+def _sampled_mismatch(rng: random.Random, pair_mat, big_l: int, det_mat, d_vec):
+    """(first mismatch or None, count, 8 sample rows) over 10,000 vectors
+    drawn uniformly from [-2, 2]^n.  The rows are stored as int8 and the
+    draw list is dropped before the products, so the temporaries of one
+    group are freed before the next group draws."""
+    n, count = len(pair_mat), 10_000
+    flat = rng.choices((-2, -1, 0, 1, 2), k=count * n)
+    block = np.array(flat, dtype=np.int8).reshape(count, n)
+    del flat
+    integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
+    trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
+    mismatch = None
+    if not np.array_equal(integral, trivial):
+        k = int(np.nonzero(integral != trivial)[0][0])
+        mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
+    return mismatch, count, [block[rng.randrange(count)].tolist() for _ in range(8)]
+
+
 def check_01_integrality(cfg: SuiteConfig):
     """Integrality of the image group-ring element is equivalent to
     triviality of the determinant character: exhaustive for |G| <= 9 over
@@ -267,17 +282,8 @@ def check_01_integrality(cfg: SuiteConfig):
                 k = rng.randrange(total)
                 sample_vecs.append([(k // 5 ** j) % 5 - 2 for j in range(n)])
         else:
-            count = 10_000
-            flat = rng.choices((-2, -1, 0, 1, 2), k=count * n)
-            block = np.array(flat, dtype=np.int64).reshape(count, n)
-            integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
-            trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
-            mismatch = None
-            if not np.array_equal(integral, trivial):
-                k = int(np.nonzero(integral != trivial)[0][0])
-                mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
-            checked = count
-            sample_vecs = [block[rng.randrange(count)].tolist() for _ in range(8)]
+            mismatch, checked, sample_vecs = _sampled_mismatch(rng, pair_mat, big_l,
+                                                               det_mat, d_vec)
 
         cross_ok = True
         cross_note = None
@@ -363,7 +369,7 @@ def check_03_self_duality(cfg: SuiteConfig):
             exps = [rng.randint(-2, 2) for _ in reps]
             values = {s: model.pi_power(exps[orbit_of[s]]) for s in group.elements()}
             values[group.identity] = model.one()
-            g = GMap(group, model, values)
+            g = Resolvend(group, model, values)
             r = from_character_space(transpose_lift(g))
             if r * involution(r) != one:
                 bad = (trial, exps)
@@ -446,7 +452,7 @@ def _composite(cfg: SuiteConfig) -> dict:
         cfg.shared["composite"] = {
             "group": group, "s": s, "t": t, "q": q, "r": r,
             "model": model, "a_ram": a_ram, "a_nr": a_nr,
-            "a": resolvend_product_transport(a_ram, a_nr),
+            "a": a_ram * a_nr,
             "h": TameHom(group, t, s, q),
             "basis": DetKernelBasis(group),
         }
@@ -486,7 +492,7 @@ def check_05_decompose(cfg: SuiteConfig):
                  dict(params, aspect="decompose"), dec_ok, dec_witness)
 
     if u is not None:
-        rec_ok = reduced_equal(recompose(u, f), to_resolvend(c["a"]), basis)
+        rec_ok = reduced_equal(recompose(u, f), c["a"], basis)
         yield _entry(cid, "recomposition reproduces the original reduced "
                           "resolvend", dict(params, aspect="recompose"), rec_ok)
     else:
@@ -515,15 +521,14 @@ def check_06_transport(cfg: SuiteConfig):
     a = tame_generator(group, s, q)
     floor = -1
 
-    inv_cert = generator_certificate(resolvend_inverse_transport(a), floor)
+    inv_cert = generator_certificate(invert_resolvend(a), floor)
     yield _entry(cid, "generator certificates survive resolvend inversion",
                  {"e": 3, "q": q, "aspect": "inverse"},
                  inv_cert.ok, "; ".join(inv_cert.witnesses) or None)
 
     bad_t = None
     for t in group.elements():
-        twist = from_resolvend(delta_resolvend(group, model, t))
-        cert = generator_certificate(resolvend_product_transport(a, twist), floor)
+        cert = generator_certificate(a * delta_resolvend(group, model, t), floor)
         if not cert.ok:
             bad_t = t
             break
@@ -533,12 +538,12 @@ def check_06_transport(cfg: SuiteConfig):
                  None if bad_t is None else f"twist by {bad_t}")
 
     c = _composite(cfg)
-    inv_unit = unit_certificate(resolvend_inverse_transport(c["a_nr"]))
+    inv_unit = unit_certificate(invert_resolvend(c["a_nr"]))
     yield _entry(cid, "unit certificates survive resolvend inversion",
                  {"group": c["group"].spec, "aspect": "unit-inverse"},
                  inv_unit.ok, "; ".join(inv_unit.witnesses) or None)
 
-    sq_unit = unit_certificate(resolvend_product_transport(c["a_nr"], c["a_nr"]))
+    sq_unit = unit_certificate(c["a_nr"] * c["a_nr"])
     yield _entry(cid, "unit certificates survive resolvend products",
                  {"group": c["group"].spec, "aspect": "unit-product"},
                  sq_unit.ok, "; ".join(sq_unit.witnesses) or None)
@@ -551,10 +556,10 @@ def check_06_transport(cfg: SuiteConfig):
 
     conv_ok = True
     witness = None
-    for other in (a, from_resolvend(delta_resolvend(group, model, (1,)))):
-        via_group = to_character_space(to_resolvend(resolvend_product_transport(a, other)))
-        lhs = to_character_space(to_resolvend(a))
-        rhs = to_character_space(to_resolvend(other))
+    for other in (a, delta_resolvend(group, model, (1,))):
+        via_group = to_character_space(a * other)
+        lhs = to_character_space(a)
+        rhs = to_character_space(other)
         pointwise = {chi: lhs.values[chi] * rhs.values[chi] for chi in lhs.values}
         if via_group.values != pointwise:
             conv_ok = False
@@ -731,8 +736,8 @@ def check_10_trace(cfg: SuiteConfig):
     rng = random.Random(f"{cfg.seed}:trace:cyclotomic")
     bad = None
     for trial in range(pairs):
-        a = GMap(group, alg, {s: _random_cyc(rng, ctx) for s in group.elements()})
-        b = GMap(group, alg, {s: _random_cyc(rng, ctx) for s in group.elements()})
+        a = Resolvend(group, alg, {s: _random_cyc(rng, ctx) for s in group.elements()})
+        b = Resolvend(group, alg, {s: _random_cyc(rng, ctx) for s in group.elements()})
         if not trace_pairing_identity_check(a, b):
             bad = trial
             break
@@ -753,8 +758,8 @@ def check_10_trace(cfg: SuiteConfig):
 
     bad = None
     for trial in range(pairs):
-        a = GMap(group, model, {s: random_local() for s in group.elements()})
-        b = GMap(group, model, {s: random_local() for s in group.elements()})
+        a = Resolvend(group, model, {s: random_local() for s in group.elements()})
+        b = Resolvend(group, model, {s: random_local() for s in group.elements()})
         if not trace_pairing_identity_check(a, b):
             bad = trial
             break

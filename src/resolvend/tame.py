@@ -27,14 +27,12 @@ from .errors import (
 from .faults import ALPHA_UNNORMALIZED, is_active
 from .groupring import (
     CharacterVector,
-    GMap,
     Resolvend,
     from_character_space,
     generator_certificate,
     invert_resolvend,
     reduced_equal,
     to_character_space,
-    to_resolvend,
     transpose_lift,
     unit_certificate,
     unit_map,
@@ -63,10 +61,6 @@ class TameHom:
         if math.gcd(self.q, self.group.order) != 1:
             raise TamenessError("residue size q must be coprime to the group order")
 
-    @property
-    def ramification_order(self) -> int:
-        return element_order(self.group, self.s_sigma)
-
     def level(self) -> int:
         """0 when unramified, 1 otherwise."""
         return 0 if self.s_sigma == self.group.identity else 1
@@ -86,12 +80,7 @@ class PrimeFElement:
     model: LocalModel
     s: GroupElement
 
-    def value(self, t: GroupElement):
-        if t == self.s and t != self.group.identity:
-            return self.model.pi_power(1)
-        return self.model.one()
-
-    def as_gmap(self) -> GMap:
+    def as_resolvend(self) -> Resolvend:
         over = {}
         if self.s != self.group.identity:
             over[self.s] = self.model.pi_power(1)
@@ -118,7 +107,7 @@ def _alpha(model: LocalModel):
 
 
 def tame_generator(group: FiniteAbelianGroup, s: GroupElement, q: int,
-                   conductor: int | None = None) -> GMap:
+                   conductor: int | None = None) -> Resolvend:
     """Generator map for the totally ramified extension attached to s:
     supported on <s>, with a(s^i) = sigma^i(alpha)."""
     s = group.element(s)
@@ -132,7 +121,7 @@ def tame_generator(group: FiniteAbelianGroup, s: GroupElement, q: int,
     for i in range(e):
         values[group.scale(s, i)] = current
         current = model.sigma(current)
-    return GMap(group, model, values)
+    return Resolvend(group, model, values)
 
 
 def inversion_identity_check(e: int, q: int, conductor: int | None = None) -> bool:
@@ -170,7 +159,7 @@ def basis_change_determinant(group: FiniteAbelianGroup, s: GroupElement, q: int,
     return cyc_det(rows)
 
 
-def decompose_tame_resolvend(h: TameHom, a: GMap,
+def decompose_tame_resolvend(h: TameHom, a: Resolvend,
                              basis: DetKernelBasis | None = None) -> tuple[Resolvend, PrimeFElement]:
     """Factor r(a) as u * lift(f_s): checks the generator certificate, builds
     the unit part u in character space, certifies u and u^{-1} integral, and
@@ -182,8 +171,8 @@ def decompose_tame_resolvend(h: TameHom, a: GMap,
     if not cert.ok:
         raise NotAGeneratorError("; ".join(cert.witnesses) or "certificate failed")
     f = PrimeFElement(group, model, h.s_sigma)
-    vf = transpose_lift(f.as_gmap())
-    va = to_character_space(to_resolvend(a))
+    vf = transpose_lift(f.as_resolvend())
+    va = to_character_space(a)
     u_vals = {chi: va.values[chi] * model.inv(vf.values[chi]) for chi in va.values}
     u = from_character_space(CharacterVector(group, model, u_vals))
     for g, c in u.coeffs.items():
@@ -194,14 +183,14 @@ def decompose_tame_resolvend(h: TameHom, a: GMap,
             raise NotAGeneratorError(f"inverse of unit part not integral at {g}")
     if basis is None:
         basis = DetKernelBasis(group)
-    if not reduced_equal(to_resolvend(a), u * from_character_space(vf), basis):
+    if not reduced_equal(a, u * from_character_space(vf), basis):
         raise NotAGeneratorError("factorization fails reduced equality")
     return u, f
 
 
 def recompose(u: Resolvend, f: PrimeFElement) -> Resolvend:
     """Inverse direction of the decomposition: u * lift(f)."""
-    return u * from_character_space(transpose_lift(f.as_gmap()))
+    return u * from_character_space(transpose_lift(f.as_resolvend()))
 
 
 def _ord_mod(q: int, r: int) -> int:
@@ -286,7 +275,7 @@ def _unit_above_p(values, ctx: CycContext, p: int) -> bool:
 
 def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupElement,
                                 r: int, ctx: CycContext | None = None,
-                                bound: int = 2, max_support: int = 3) -> GMap:
+                                bound: int = 2, max_support: int = 3) -> Resolvend:
     """Bounded search for a normal-basis style generator of the degree-|t|
     unramified extension, modeled inside Q(zeta_r) with Frobenius zeta -> zeta^q.
 
@@ -303,7 +292,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     p = prime_power_base(q)
     alg = CycAlgebra(ctx, p=p)
     if t == group.identity:
-        return GMap(group, alg, {group.identity: alg.one()})
+        return Resolvend(group, alg, {group.identity: alg.one()})
     if _ord_mod(q, r) != m:
         raise PreconditionError(f"ord_{r}({q}) = {_ord_mod(q, r)} != |t| = {m}")
     if math.gcd(q, ctx.n) != 1:
@@ -320,13 +309,13 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
         for i in range(m):
             values[(i,)] = current
             current = galois_apply(current, q)
-        a = GMap(habs, alg, values)
-        vec = to_character_space(to_resolvend(a))
+        a = Resolvend(habs, alg, values)
+        vec = to_character_space(a)
         if any(alg.val(v) != 0 for v in vec.values.values()):
             continue
         if not _unit_above_p(vec.values.values(), ctx, p):
             continue
         if unit_certificate(a).ok:
-            return GMap(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})
+            return Resolvend(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})
     raise SearchFailureError(
         f"no certified generator with support <= {max_support}, coefficients in [-{bound},{bound}]")

@@ -23,15 +23,7 @@ from math import isqrt
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
-from .groupring import (
-    GMap,
-    identity_resolvend,
-    involution,
-    resolvent,
-    resolvend_product_transport,
-    to_resolvend,
-    transpose_lift,
-)
+from .groupring import Resolvend, identity_resolvend, involution, resolvent, transpose_lift
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .laurent import LaurentAlgebra, LaurentElement
 from .stickelberger import char_exponent, char_inv, characters
@@ -221,7 +213,7 @@ def build_alpha(p: int, algebra: WildAlgebra | None = None, copy: int = 0) -> Wi
 
 
 def wild_generator(group: FiniteAbelianGroup, t: GroupElement,
-                   algebra: WildAlgebra | None = None, copy: int = 0) -> GMap:
+                   algebra: WildAlgebra | None = None, copy: int = 0) -> Resolvend:
     """The map a(t^{c(j)}) = tau~^{c(j)}(alpha), supported on <t>."""
     t = group.element(t)
     p = element_order(group, t)
@@ -232,18 +224,18 @@ def wild_generator(group: FiniteAbelianGroup, t: GroupElement,
     values = {}
     for j in range(p):
         values[group.scale(t, centered(p, j))] = tau_action(alpha, j, copy)
-    return GMap(group, alg, values)
+    return Resolvend(group, alg, values)
 
 
 def pth_power_map(group: FiniteAbelianGroup, t: GroupElement,
-                  algebra: WildAlgebra, copy: int = 0) -> GMap:
+                  algebra: WildAlgebra, copy: int = 0) -> Resolvend:
     """g(t^{c(i)}) = x_i := y_i^p for i != 0, and 1 at the identity."""
     p = algebra.p
     t = group.element(t)
     values = {group.identity: algebra.one()}
     for i in range(1, p):
         values[group.scale(t, centered(p, i))] = algebra.y(i, copy, power=p)
-    return GMap(group, algebra, values)
+    return Resolvend(group, algebra, values)
 
 
 # -- the verified identities --------------------------------------------------
@@ -389,8 +381,7 @@ def wild_unit_resolvents(group: FiniteAbelianGroup, t: GroupElement,
             return False
         if r1 * resolvent(a, char_inv(group, chi)) != alg.one():
             return False
-    r = to_resolvend(a)
-    return r * involution(r) == identity_resolvend(group, alg)
+    return a * involution(a) == identity_resolvend(group, alg)
 
 
 def elementary_product_check(p: int, r: int) -> bool:
@@ -408,7 +399,7 @@ def elementary_product_check(p: int, r: int) -> bool:
         gens.append(wild_generator(group, group.element(coords), alg, copy))
     a = gens[0]
     for b in gens[1:]:
-        a = resolvend_product_transport(a, b)
+        a = a * b
     for chi in characters(group):
         res = resolvent(a, chi)
         if not alg.is_unit_monomial(res):

@@ -1,11 +1,16 @@
 """Command-line interface: envelopes, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvend.cli import main
 from resolvend.cyclotomic import CycContext
@@ -208,3 +213,92 @@ def test_console_script_subprocess():
     data = json.loads(proc.stdout)
     assert data["result"]["v_D"] == 4
     assert data["result"]["v_A"] == -2
+
+
+def test_double_dash_value_exits_2(capsys):
+    # argparse before Python 3.12 turns --opt=-- into [] without type or choices checks
+    for argv in (["pairing", "--group=--"], ["pairing", "--group=3", "--format=--"],
+                 ["tame-gen", "--group=3", "--e=3", "--q=--", "--s=1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert data["status"] == "error"
+        assert "has no value" in data["result"]["error"]
+
+
+# -- fuzzed arguments ---------------------------------------------------------
+
+STATUS_OF_EXIT = {0: "ok", 1: "fail", 2: "error"}
+JUNK = st.text(alphabet="0123456789,.:- +xe", max_size=8)
+
+
+def _comma_ints(lo: int, hi: int, max_size: int = 3):
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+def _order_at_most_27(spec: str) -> bool:
+    """Keeps the fuzzed groups small: a spec that parses must have order <= 27."""
+    try:
+        return prod(abs(int(part)) for part in spec.split(",")) <= 27
+    except ValueError:
+        return True
+
+
+GROUPS = st.one_of(st.sampled_from(["3", "5", "7", "9", "3,3", "15", "21", "25", "27", "3,9"]),
+                   _comma_ints(-3, 27), JUNK).filter(_order_at_most_27)
+PSI = st.one_of(
+    st.lists(st.tuples(st.lists(st.integers(-30, 30), min_size=1, max_size=2),
+                       st.integers(-10**6, 10**6)), min_size=1, max_size=4).map(
+        lambda terms: ",".join(".".join(map(str, img)) + f":{c}" for img, c in terms)),
+    JUNK)
+ELEMENTS = st.one_of(_comma_ints(-30, 30), JUNK)
+# working tame-gen inputs (group, e, q, s); each runs in at most 0.3 s
+TAME_INPUTS = [("3", 3, 7, "1"), ("3,3", 3, 7, "1,0"), ("5", 5, 11, "1"), ("7", 7, 29, "1"),
+               ("9", 9, 19, "1"), ("3,9", 9, 37, "0,1"), ("25", 5, 11, "5"),
+               ("27", 9, 19, "3"), ("11", 11, 23, "1")]
+
+
+def _argv(command: str, data) -> list[str]:
+    """Option values as --opt=value, so that a value starting with '-' is not
+    read as a flag."""
+    draw = data.draw
+    if command == "pairing":
+        return [f"--group={draw(GROUPS)}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    if command == "kernel-basis":
+        return [f"--group={draw(GROUPS)}"]
+    if command == "theta":
+        return [f"--group={draw(GROUPS)}", f"--psi={draw(PSI)}"]
+    if command == "different":
+        return [f"--filtration={draw(st.one_of(_comma_ints(-5, 10**6, 5), JUNK))}"]
+    # tame-gen: a working input with at most two of its values replaced,
+    # which keeps e <= 15 and the conductor N <= 30
+    values = dict(zip(("group", "e", "q", "s"), draw(st.sampled_from(TAME_INPUTS))))
+    values["conductor"] = "0"
+    fuzzed = {"group": GROUPS, "e": st.integers(-3, 15), "q": st.integers(-3, 40),
+              "s": ELEMENTS, "conductor": st.integers(-3, 30)}
+    for name in draw(st.sets(st.sampled_from(sorted(fuzzed)), max_size=2)):
+        values[name] = draw(fuzzed[name])
+    return [f"--{name}={value}" for name, value in values.items()]
+
+
+@pytest.mark.parametrize("command", ["pairing", "kernel-basis", "theta", "different", "tame-gen"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_arguments_keep_the_contract(command, data):
+    """Any value of any option exits 0, 1 or 2 with one JSON envelope whose
+    status matches the exit code, and writes nothing to stderr."""
+    argv = [command] + _argv(command, data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == "", argv
+    assert code in STATUS_OF_EXIT, argv
+    if command == "pairing" and "--format=csv" in argv and code == 0:
+        assert out.getvalue().startswith("character,"), argv
+        return
+    envelope = json.loads(out.getvalue())
+    assert set(envelope) == {"command", "params", "result", "status"}, argv
+    assert envelope["status"] == STATUS_OF_EXIT[code], argv

@@ -6,26 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from resolvend.cyclotomic import CycAlgebra, CycContext
+from resolvend.cyclotomic import CycAlgebra, CycContext, CycNumber
 from resolvend.errors import NotGaloisOrbitError, SingularResolvendError
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.groupring import (
-    GMap,
     Resolvend,
     associated_hom,
     delta_resolvend,
     from_character_space,
-    from_resolvend,
     generator_certificate,
     identity_resolvend,
     invert_resolvend,
     involution,
     reduced_equal,
-    resolvend_inverse_transport,
     resolvend_product_transport,
     resolvent,
     to_character_space,
-    to_resolvend,
     trace_pairing_identity_check,
     unit_certificate,
     unit_map,
@@ -34,27 +30,58 @@ from resolvend.localfield import LocalModel
 from resolvend.stickelberger import DetKernelBasis, characters
 
 C3 = FiniteAbelianGroup((3,))
+C9 = FiniteAbelianGroup((9,))
+C33 = FiniteAbelianGroup((3, 3))
 
 
 def small_algebra():
     return CycAlgebra(CycContext(3), 7)
 
 
-def random_gmap(rng: random.Random, group, alg, invertible=False):
-    """Random map; with ``invertible`` the values are monomial units."""
+def random_cyc(rng: random.Random, ctx):
+    return CycNumber(ctx, [rng.randrange(-3, 4) for _ in range(ctx.phi)])
+
+
+def random_value(rng: random.Random, alg):
+    """A random cyclotomic number, or one or two Puiseux terms over one."""
+    if not isinstance(alg, LocalModel):
+        return random_cyc(rng, alg.ctx)
+    x = alg.zero()
+    for _ in range(rng.randint(1, 2)):
+        x = x + alg.monomial(Fraction(rng.randint(-3, 3), alg.e), random_cyc(rng, alg.ctx))
+    return x
+
+
+def random_map(rng: random.Random, group, alg, invertible=False, sparse=False):
+    """Random map; with ``invertible`` the values are monomial units, with
+    ``sparse`` about a third of them are left out."""
     values = {}
     for s in group.elements():
+        if sparse and rng.randrange(3) == 0:
+            continue
         if invertible:
             values[s] = alg.ctx.zeta_power(rng.randrange(3))
         else:
-            values[s] = alg.ctx.from_fractions(
-                [Fraction(rng.randrange(-3, 4)) for _ in range(2)])
-    return GMap(group, alg, values)
+            values[s] = random_value(rng, alg)
+    return Resolvend(group, alg, values)
 
 
-def test_gmap_total_with_zero_default():
+def _coefficient_product(r1: Resolvend, r2: Resolvend) -> dict:
+    """The product in group-ring coefficients, sum_u c_u u * sum_w d_w w:
+    the loop ``Resolvend.__mul__`` ran before it delegated to the map
+    convolution, kept as an oracle."""
+    out: dict = {}
+    for u, x in r1.coeffs.items():
+        for w, y in r2.coeffs.items():
+            t = r1.group.add(u, w)
+            prod = x * y
+            out[t] = out[t] + prod if t in out else prod
+    return {t: v for t, v in out.items() if not r1.algebra.is_zero(v)}
+
+
+def test_map_view_total_with_zero_default():
     alg = small_algebra()
-    a = GMap(C3, alg, {(1,): alg.ctx.one(), (2,): alg.ctx.zero()})
+    a = Resolvend(C3, alg, {(1,): alg.ctx.one(), (2,): alg.ctx.zero()})
     assert a.value((1,)) == alg.ctx.one()
     assert a.value((0,)) == alg.ctx.zero()
     assert sorted(a.values) == [(1,)]
@@ -62,7 +89,7 @@ def test_gmap_total_with_zero_default():
 
 def test_translate_convention():
     alg = small_algebra()
-    a = GMap(C3, alg, {(1,): alg.ctx.one() * 5})
+    a = Resolvend(C3, alg, {(1,): alg.ctx.one() * 5})
     # (t . a)(s) = a(s + t)
     b = a.translate((1,))
     assert b.value((0,)) == alg.ctx.one() * 5
@@ -78,12 +105,33 @@ def test_resolvend_convolution():
     assert s * s == delta_resolvend(C3, alg, (2,))
 
 
-def test_resolvend_gmap_roundtrip():
+@pytest.mark.parametrize("alg", [CycAlgebra(CycContext(9), 7), LocalModel(3, 7, 9)],
+                         ids=["cyclotomic", "puiseux"])
+def test_product_matches_coefficient_oracle(alg):
+    rng = random.Random(f"product-oracle:{type(alg).__name__}")
+    for group in (C3, C9, C33):
+        for _ in range(6):
+            a = random_map(rng, group, alg, sparse=True)
+            b = random_map(rng, group, alg, sparse=True)
+            assert (a * b).coeffs == _coefficient_product(a, b)
+            assert resolvend_product_transport(a, b) == a * b
+
+
+def test_resolvend_views():
+    """c_u = a(u^{-1}); a delta is one group element; the involution swaps
+    u and u^{-1} and is its own inverse."""
     alg = small_algebra()
-    rng = random.Random("roundtrip")
-    for _ in range(20):
-        a = random_gmap(rng, C3, alg)
-        assert from_resolvend(to_resolvend(a)) == a
+    rng = random.Random("views")
+    for group in (C3, C9, C33):
+        for _ in range(10):
+            r = random_map(rng, group, alg, sparse=True)
+            coeffs = r.coeffs
+            for u in group.elements():
+                assert coeffs.get(u, alg.zero()) == r.value(group.neg(u))
+                assert involution(r).coeffs.get(u, alg.zero()) == r.value(u)
+            assert involution(involution(r)) == r
+        for t in group.elements():
+            assert delta_resolvend(group, alg, t).coeffs == {t: alg.one()}
 
 
 def test_resolvent_matches_character_space():
@@ -91,32 +139,32 @@ def test_resolvent_matches_character_space():
     alg = small_algebra()
     rng = random.Random("resolvent-vs-char")
     for _ in range(20):
-        a = random_gmap(rng, C3, alg)
-        v = to_character_space(to_resolvend(a))
+        a = random_map(rng, C3, alg)
+        v = to_character_space(a)
         for chi in characters(C3):
-            assert v.value(chi) == resolvent(a, chi)
+            assert v.values[chi] == resolvent(a, chi)
 
 
 def test_character_space_is_a_ring_isomorphism():
     alg = small_algebra()
     rng = random.Random("char-iso")
     for _ in range(20):
-        a = random_gmap(rng, C3, alg)
-        b = random_gmap(rng, C3, alg)
-        r1, r2 = to_resolvend(a), to_resolvend(b)
+        a = random_map(rng, C3, alg)
+        b = random_map(rng, C3, alg)
+        r1, r2 = a, b
         assert from_character_space(to_character_space(r1)) == r1
         v1, v2 = to_character_space(r1), to_character_space(r2)
         v12 = to_character_space(r1 * r2)
         for chi in characters(C3):
-            assert v12.value(chi) == v1.value(chi) * v2.value(chi)
+            assert v12.values[chi] == v1.values[chi] * v2.values[chi]
 
 
 def test_involution():
     alg = small_algebra()
     rng = random.Random("involution")
     for _ in range(10):
-        r1 = to_resolvend(random_gmap(rng, C3, alg))
-        r2 = to_resolvend(random_gmap(rng, C3, alg))
+        r1 = random_map(rng, C3, alg)
+        r2 = random_map(rng, C3, alg)
         assert involution(involution(r1)) == r1
         assert involution(r1 * r2) == involution(r1) * involution(r2)
 
@@ -127,26 +175,26 @@ def test_inversion():
     assert r * invert_resolvend(r) == identity_resolvend(C3, alg)
     # the all-ones resolvend kills every nontrivial character
     with pytest.raises(SingularResolvendError):
-        invert_resolvend(to_resolvend(unit_map(C3, alg)))
+        invert_resolvend(unit_map(C3, alg))
 
 
 def test_trace_pairing_identity():
     alg = small_algebra()
     rng = random.Random("trace-small")
     for _ in range(25):
-        a = random_gmap(rng, C3, alg)
-        b = random_gmap(rng, C3, alg)
+        a = random_map(rng, C3, alg)
+        b = random_map(rng, C3, alg)
         assert trace_pairing_identity_check(a, b)
     model = LocalModel(3, 7, 3)
     pi = model.pi_power(Fraction(1, 3))
-    a = GMap(C3, model, {(0,): model.one(), (1,): pi, (2,): pi * pi})
-    b = GMap(C3, model, {(0,): pi, (2,): model.one() * 5})
+    a = Resolvend(C3, model, {(0,): model.one(), (1,): pi, (2,): pi * pi})
+    b = Resolvend(C3, model, {(0,): pi, (2,): model.one() * 5})
     assert trace_pairing_identity_check(a, b)
 
 
 def test_generator_certificate_accepts_identity():
     model = LocalModel(3, 7, 3)
-    a = GMap(C3, model, {(0,): model.one()})
+    a = Resolvend(C3, model, {(0,): model.one()})
     report = generator_certificate(a, 0)
     assert report.ok and report.membership_ok and report.unit_ok
     assert report.witnesses == []
@@ -156,7 +204,7 @@ def test_generator_certificate_accepts_identity():
 
 def test_generator_certificate_flags_low_valuation():
     model = LocalModel(3, 7, 3)
-    a = GMap(C3, model, {(0,): model.pi_power(Fraction(-1, 3))})
+    a = Resolvend(C3, model, {(0,): model.pi_power(Fraction(-1, 3))})
     report = generator_certificate(a, 0)
     assert not report.membership_ok
     assert any("< 0" in w for w in report.witnesses)
@@ -165,7 +213,7 @@ def test_generator_certificate_flags_low_valuation():
 def test_generator_certificate_flags_non_unit():
     model = LocalModel(3, 7, 3)
     # r = 7 is integral but its inverse is not
-    a = GMap(C3, model, {(0,): model.from_rational(7)})
+    a = Resolvend(C3, model, {(0,): model.from_rational(7)})
     report = generator_certificate(a, 0)
     assert report.membership_ok
     assert not report.unit_ok
@@ -174,12 +222,12 @@ def test_generator_certificate_flags_non_unit():
 
 def test_unit_certificate():
     alg = small_algebra()
-    good = GMap(C3, alg, {(0,): alg.ctx.one(), (1,): alg.ctx.zeta_power(1)})
+    good = Resolvend(C3, alg, {(0,): alg.ctx.one(), (1,): alg.ctx.zeta_power(1)})
     # r = 1 + zeta x has unit resolvents at every character of C3
     report = unit_certificate(good)
     if report.ok:
         assert report.witnesses == []
-    bad = GMap(C3, alg, {(0,): alg.ctx.one() * Fraction(1, 7)})
+    bad = Resolvend(C3, alg, {(0,): alg.ctx.one() * Fraction(1, 7)})
     assert not unit_certificate(bad).ok
     singular = unit_map(C3, alg)
     report = unit_certificate(singular)
@@ -193,18 +241,16 @@ def test_transports():
 
     def nonsingular():
         while True:
-            a = random_gmap(rng, C3, alg, invertible=True)
-            v = to_character_space(to_resolvend(a))
+            a = random_map(rng, C3, alg, invertible=True)
+            v = to_character_space(a)
             if not any(val.is_zero() for val in v.values.values()):
                 return a
 
     for _ in range(15):
         a = nonsingular()
         b = nonsingular()
-        inv = resolvend_inverse_transport(a)
-        assert to_resolvend(inv) * to_resolvend(a) == identity_resolvend(C3, alg)
-        prod = resolvend_product_transport(a, b)
-        assert to_resolvend(prod) == to_resolvend(a) * to_resolvend(b)
+        assert invert_resolvend(a) * a == identity_resolvend(C3, alg)
+        assert (a * b).coeffs == _coefficient_product(a, b)
 
 
 def test_reduced_equality():
@@ -217,13 +263,13 @@ def test_reduced_equality():
     scaled = Resolvend(C3, alg, {(0,): z * z})
     assert not reduced_equal(r, scaled, basis)
     with pytest.raises(SingularResolvendError):
-        reduced_equal(r, to_resolvend(unit_map(C3, alg)), basis)
+        reduced_equal(r, unit_map(C3, alg), basis)
 
 
 def test_associated_hom():
     alg = small_algebra()
     z = alg.ctx.zeta_power(1)
-    a = GMap(C3, alg, {(0,): alg.ctx.one(), (1,): z, (2,): z * z})
+    a = Resolvend(C3, alg, {(0,): alg.ctx.one(), (1,): z, (2,): z * z})
     hom = associated_hom(a, [("id", lambda v: v), ("shift", lambda v: v * z)])
     assert hom["id"] == (0,)
     assert hom["shift"] == (1,)

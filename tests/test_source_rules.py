@@ -38,3 +38,80 @@ def test_float_rule_catches_each_form():
     code = ("import math\nfrom math import sqrt\n"
             "a = 0.25\nb = n ** 0.5\nc = math.sqrt(n)\nd = float(n)\ne = float('inf')\n")
     assert len(_float_uses(ast.parse(code))) == 5
+
+
+def _public_defs(module: str, tree: ast.Module):
+    """(dotted path, node, is_method) of each public module-level function
+    or class and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """Public names of ``sources`` (module name -> code) that no code uses
+    outside their own definition, matched by name: an attribute ``.name``
+    anywhere uses a method or a module-level name, a bare ``name`` uses a
+    module-level name.  Imports are not uses."""
+    uses: dict[tuple[bool, str], list[tuple[str, int]]] = {}
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                keys = [(True, node.attr), (False, node.attr)]
+            elif isinstance(node, ast.Name):
+                keys = [(False, node.id)]
+            else:
+                continue
+            for key in keys:
+                uses.setdefault(key, []).append((module, node.lineno))
+    found = []
+    for module, tree in trees.items():
+        for path, node, is_method in _public_defs(module, tree):
+            outside = [(m, line) for m, line in uses.get((is_method, node.name), ())
+                       if not (m == module and node.lineno <= line <= node.end_lineno)]
+            if not outside and path not in exempt:
+                found.append(path)
+    return sorted(found)
+
+
+def _traced_paths() -> set[str]:
+    """Every attribute path in ``OPS`` of the benchmark's tracer: the tracer
+    reaches those from outside the package."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "OPS" for t in node.targets):
+            return {path for paths in ast.literal_eval(node.value).values() for path in paths}
+    raise AssertionError("perfbench/tracer.py defines no OPS")
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """No public function, class or method exists only for the tests."""
+    sources = {path.stem: path.read_text()
+               for path in Path(resolvend.__file__).parent.glob("*.py")}
+    traced = _traced_paths()
+    assert "groupring.resolvend_product_transport" in traced
+    assert _unreferenced(sources, traced) == []
+
+
+def test_unreferenced_rule_catches_each_form():
+    code = ("def used():\n    return 1\n\n"
+            "def unused():\n    return used()\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n"
+            "def traced():\n    return 2\n\n"
+            "def _private():\n    return 3\n\n"
+            "class Kept:\n"
+            "    def method(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 4\n"
+            "    def orphan(self):\n        return self.orphan()\n"
+            "    def shadowed(self):\n        return 5\n\n"
+            "class Orphan:\n    pass\n\n"
+            "value = Kept().method()\nshadowed = value\n")
+    other = "from .m import unused\n"
+    assert _unreferenced({"m": code, "n": other}, {"m.traced"}) == [
+        "m.Kept.orphan", "m.Kept.shadowed", "m.Orphan", "m.recursive", "m.unused"]

@@ -121,8 +121,7 @@ def test_ring_laws_sweep():
         acc = alg.zero()
         for _ in range(rng.randrange(3)):
             exps = tuple(rng.randrange(-2, 3) for _ in range(alg.nvars))
-            coeff = alg.ctx.from_fractions(
-                [Fraction(rng.randrange(-3, 4)) for _ in range(2)])
+            coeff = CycNumber(alg.ctx, [rng.randrange(-3, 4) for _ in range(2)])
             acc = acc + alg.monomial(exps, coeff)
         return acc
 
