@@ -19,10 +19,9 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .cyclotomic import CycAlgebra
 from .errors import ParityError, PreconditionError, ResolvendError
 from .faults import ALL_FAULTS
-from .groupring import generator_certificate, resolvent
+from .groupring import generator_certificate
 from .groups import FiniteAbelianGroup, element_order
 from .localfield import (
     RamFiltration,
@@ -41,8 +40,9 @@ from .stickelberger import (
 )
 from .suite import ALLOWED_E, ALLOWED_P, MAX_ORDER, run_suite
 from .tame import (
-    basis_change_determinant,
+    basis_change_is_unit,
     inversion_identity_check,
+    resolvent_table,
     tame_generator,
 )
 from .wild import (
@@ -206,20 +206,12 @@ def cmd_tame_gen(args) -> tuple:
         raise PreconditionError(f"work e^4 phi(N)^2 = {work} exceeds the limit {MAX_TAME_WORK}")
     a = tame_generator(group, s, _bounded("residue order", args.q), conductor)
     model = a.algebra
-    table = []
-    all_match = True
-    for chi in characters(group):
-        pairing = stickelberger_pairing(group, chi, s, model.ctx)
-        value = resolvent(a, chi)
-        match = value == model.pi_power(pairing)
-        all_match = all_match and match
-        table.append({"character": _label(chi), "pairing": _frac(pairing),
-                      "value": model.to_json(value), "matches_pi_power": match})
+    table = [{"character": _label(chi), "pairing": _frac(pairing),
+              "value": model.to_json(value), "matches_pi_power": match}
+             for chi, pairing, value, match in resolvent_table(a, s)]
     cert = generator_certificate(a, (1 - e) // 2)
     inversion = inversion_identity_check(e, args.q, conductor)
-    det = basis_change_determinant(group, s, args.q, conductor)
-    alg = CycAlgebra(model.ctx, model.p)
-    det_unit = alg.val(det) == 0
+    det_unit = basis_change_is_unit(group, s, args.q, conductor)
     result = {"group": group.spec, "e": e, "q": args.q, "s": _label(s),
               "conductor": conductor,
               "generator": {_label(g): model.to_json(v)
@@ -228,7 +220,7 @@ def cmd_tame_gen(args) -> tuple:
               "certificate": cert.to_json(),
               "inversion_identity": inversion,
               "basis_change_unit": det_unit}
-    ok = cert.ok and all_match and inversion and det_unit
+    ok = cert.ok and all(row["matches_pi_power"] for row in table) and inversion and det_unit
     return result, ok
 
 

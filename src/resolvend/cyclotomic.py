@@ -21,6 +21,7 @@ from .errors import (
     NotInvertibleError,
     PreconditionError,
 )
+from .groups import prime_factors
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -53,17 +54,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     divisors = [d for d in range(1, n + 1) if n % d == 0]
 
     def mu(m: int) -> int:
-        out, q = 1, 2
-        while q * q <= m:
-            if m % q == 0:
-                m //= q
-                if m % q == 0:
-                    return 0
-                out = -out
-            q += 1
-        if m > 1:
-            out = -out
-        return out
+        exps = prime_factors(m).values()
+        return 0 if any(k > 1 for k in exps) else (-1) ** len(exps)
 
     num = [1]
     dens = []

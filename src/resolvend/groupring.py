@@ -118,16 +118,8 @@ class CharacterVector:
 def to_character_space(r: Resolvend) -> CharacterVector:
     """Evaluate sum_u c_u u = sum_s a(s) s^{-1} at every character; a ring
     isomorphism."""
-    alg = r.algebra
-    group = r.group
-    values = {}
-    for chi in characters(group):
-        ichi = char_inv(group, chi)
-        acc = alg.zero()
-        for s, v in r.values.items():
-            acc = acc + v * char_value(group, ichi, s, alg.ctx)
-        values[chi] = acc
-    return CharacterVector(group, alg, values)
+    return CharacterVector(r.group, r.algebra,
+                           {chi: resolvent(r, chi) for chi in characters(r.group)})
 
 
 def from_character_space(v: CharacterVector) -> Resolvend:

@@ -16,7 +16,8 @@ from .errors import InvalidElementError, InvalidGroupError
 GroupElement = tuple[int, ...]
 
 
-def _prime_factors(n: int) -> dict[int, int]:
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: exponent} by trial division; empty for n < 2."""
     out: dict[int, int] = {}
     q = 2
     while q * q <= n:
@@ -42,7 +43,7 @@ def invariant_factors(factors) -> tuple[int, ...]:
     # collect prime power columns, largest into the last invariant factor
     powers: dict[int, list[int]] = {}
     for d in factors:
-        for p, e in _prime_factors(d).items():
+        for p, e in prime_factors(d).items():
             powers.setdefault(p, []).append(e)
     depth = max(len(v) for v in powers.values())
     chain = []

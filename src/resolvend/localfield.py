@@ -34,6 +34,7 @@ from .errors import (
     PreconditionError,
     TamenessError,
 )
+from .groups import prime_factors
 from .laurent import LaurentAlgebra, LaurentElement
 
 INF = float("inf")
@@ -119,18 +120,10 @@ def validate_abelian_filtration(filt: RamFiltration) -> bool:
 
 def prime_power_base(q: int) -> int:
     """The prime p with q = p^f."""
-    if q < 2:
+    primes = list(prime_factors(q))
+    if len(primes) != 1:
         raise PreconditionError(f"residue order {q} is not a prime power")
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise PreconditionError(f"residue order {q} is not a prime power")
-            return p
-        p += 1
-    return n
+    return primes[0]
 
 
 class PuiseuxElement(LaurentElement):
@@ -236,10 +229,9 @@ class LocalModel(LaurentAlgebra):
         return PuiseuxElement(self, {k: c * root_of_unity(self.ctx, e, k) if k % e else c
                                      for k, c in x.terms.items()})
 
-    def phi(self, x: PuiseuxElement, k: int | None = None) -> PuiseuxElement:
-        """Frobenius lift: coefficients through zeta_N -> zeta_N^k, default k=q."""
-        k = self.q if k is None else k
-        return PuiseuxElement(self, {r: galois_apply(c, k) for r, c in x.terms.items()})
+    def phi(self, x: PuiseuxElement) -> PuiseuxElement:
+        """Frobenius lift: coefficients through zeta_N -> zeta_N^q."""
+        return PuiseuxElement(self, {r: galois_apply(c, self.q) for r, c in x.terms.items()})
 
     def galois_twists(self):
         """(name, character twist, automorphism) for equivariance checks."""

@@ -53,16 +53,16 @@ def char_value(group: FiniteAbelianGroup, chi: Character, s: GroupElement, ctx: 
     return ctx.zeta_power((ctx.n // m) * char_exponent(group, chi, s))
 
 
-def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupElement,
-                          ctx: CycContext | None = None) -> Fraction:
-    """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2]."""
+def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> Fraction:
+    """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2].
+
+    It is a rational number and needs no conductor; ``char_value`` checks the
+    conductor wherever a root of unity is built."""
     group.validate(s)
     n = element_order(group, s)
     if n == 1:
         return Fraction(0)
     m = group.exponent
-    if ctx is not None and ctx.n % m != 0:
-        raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
     upsilon = char_exponent(group, chi, s) * n // m  # zeta_m^k = zeta_n^(k n/m), (m/n) | k
     if upsilon > (n - 1) // 2:
         upsilon -= n
@@ -80,23 +80,21 @@ def det_map(group: FiniteAbelianGroup, psi: dict) -> Character:
     return tuple(out)
 
 
-def stickelberger_map(group: FiniteAbelianGroup, psi: dict,
-                      ctx: CycContext | None = None) -> dict[GroupElement, Fraction]:
+def stickelberger_map(group: FiniteAbelianGroup, psi: dict) -> dict[GroupElement, Fraction]:
     """Theta(psi): group-ring element with coefficient <psi, s> at each s."""
     out: dict[GroupElement, Fraction] = {}
     for s in group.elements():
         total = Fraction(0)
         for chi, mult in psi.items():
             if mult:
-                total += mult * stickelberger_pairing(group, chi, s, ctx)
+                total += mult * stickelberger_pairing(group, chi, s)
         out[s] = total
     return out
 
 
-def integrality_check(group: FiniteAbelianGroup, psi: dict,
-                      ctx: CycContext | None = None) -> bool:
+def integrality_check(group: FiniteAbelianGroup, psi: dict) -> bool:
     """All coefficients of Theta(psi) integral?"""
-    return all(v.denominator == 1 for v in stickelberger_map(group, psi, ctx).values())
+    return all(v.denominator == 1 for v in stickelberger_map(group, psi).values())
 
 
 class DetKernelBasis:
@@ -105,7 +103,6 @@ class DetKernelBasis:
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
         self.characters: list[Character] = list(characters(group))
-        index = {chi: i for i, chi in enumerate(self.characters)}
         n = len(self.characters)
         k = group.rank
         # lattice {x : M x = 0 mod (d_i)} via kernel of [M | diag(d)], projected
@@ -116,7 +113,6 @@ class DetKernelBasis:
             rows.append(row)
         raw = [v[:n] for v in kernel_basis(rows)]
         self.vectors: list[tuple[int, ...]] = [tuple(r) for r in hnf_rows(raw)]
-        self._index = index
 
     def combos(self) -> list[dict[Character, int]]:
         out = []
@@ -128,38 +124,20 @@ class DetKernelBasis:
         return abs(det([list(v) for v in self.vectors]))
 
     def contains(self, psi: dict) -> bool:
-        """Exact membership: solve over Q against the basis, demand integers."""
-        target = [psi.get(chi, 0) for chi in self.characters]
-        n = len(self.characters)
-        rows = [[Fraction(self.vectors[i][j]) for i in range(len(self.vectors))] + [Fraction(target[j])]
-                for j in range(n)]
-        r = 0
-        for c in range(len(self.vectors)):
-            piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(n):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c] / rows[r][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-        sol = [Fraction(0)] * len(self.vectors)
-        r = 0
-        for c in range(len(self.vectors)):
-            if r < n and rows[r][c] != 0:
-                sol[c] = rows[r][-1] / rows[r][c]
-                r += 1
-        # check the solution reproduces the target and is integral
-        for j in range(n):
-            acc = sum(sol[i] * self.vectors[i][j] for i in range(len(self.vectors)))
-            if acc != target[j]:
+        """Exact membership in integers: walk down the echelon rows, subtract
+        the multiple of each row that clears its pivot column (the pivot must
+        divide the entry there), and demand that nothing is left."""
+        rest = [psi.get(chi, 0) for chi in self.characters]
+        for row in self.vectors:
+            col = next(j for j, c in enumerate(row) if c)
+            mult, left = divmod(rest[col], row[col])
+            if left:
                 return False
-        return all(x.denominator == 1 for x in sol)
+            rest = [x - mult * y for x, y in zip(rest, row)]
+        return not any(rest)
 
 
-def equivariance_check(group: FiniteAbelianGroup, k: int,
-                       ctx: CycContext | None = None) -> bool:
+def equivariance_check(group: FiniteAbelianGroup, k: int) -> bool:
     """Galois equivariance of the pairing: <chi^k, s> = <chi, s^k> for all chi, s.
 
     The action twists characters by k and group elements by the inverse
@@ -169,8 +147,8 @@ def equivariance_check(group: FiniteAbelianGroup, k: int,
         raise InvalidElementError(f"twist {k} not coprime to exponent {group.exponent}")
     for chi in characters(group):
         for s in group.elements():
-            lhs = stickelberger_pairing(group, char_pow(group, chi, k), s, ctx)
-            rhs = stickelberger_pairing(group, chi, group.scale(s, k), ctx)
+            lhs = stickelberger_pairing(group, char_pow(group, chi, k), s)
+            rhs = stickelberger_pairing(group, chi, group.scale(s, k))
             if lhs != rhs:
                 return False
     return True

@@ -32,6 +32,7 @@ from .groupring import (
     generator_certificate,
     invert_resolvend,
     reduced_equal,
+    resolvent,
     to_character_space,
     transpose_lift,
     unit_certificate,
@@ -39,7 +40,12 @@ from .groupring import (
 )
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .localfield import LocalModel, prime_power_base
-from .stickelberger import DetKernelBasis
+from .stickelberger import DetKernelBasis, characters, stickelberger_pairing
+
+# the unramified search tries coefficients in [-SEARCH_BOUND, SEARCH_BOUND]
+# on at most SEARCH_SUPPORT roots of unity
+SEARCH_BOUND = 2
+SEARCH_SUPPORT = 3
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,17 @@ def tame_generator(group: FiniteAbelianGroup, s: GroupElement, q: int,
     return Resolvend(group, model, values)
 
 
+def resolvent_table(a: Resolvend, s: GroupElement):
+    """Yield one row (chi, <chi, s>, (a | chi), match) per character, where
+    match says whether the resolvent of the generator attached to s equals
+    pi^<chi, s>.  Rows come lazily, so a caller can stop at a mismatch."""
+    model = a.algebra
+    for chi in characters(a.group):
+        pairing = stickelberger_pairing(a.group, chi, s)
+        value = resolvent(a, chi)
+        yield chi, pairing, value, value == model.pi_power(pairing)
+
+
 def inversion_identity_check(e: int, q: int, conductor: int | None = None) -> bool:
     """sum_i sigma^i(alpha) zeta_e^(-(l+(1-e)/2) i) = Pi^(l+(1-e)/2) for all l."""
     model = build_model(e, q, conductor)
@@ -157,6 +174,15 @@ def basis_change_determinant(group: FiniteAbelianGroup, s: GroupElement, q: int,
         x = a.value(g)
         rows.append([x.terms.get(k + lo, model.ctx.zero()) for k in range(e)])
     return cyc_det(rows)
+
+
+def basis_change_is_unit(group: FiniteAbelianGroup, s: GroupElement, q: int,
+                         conductor: int | None = None) -> bool:
+    """Whether the basis-change determinant is a unit at every prime above q.
+    Exact, where a content order of 0 is not: 3 + zeta_3 has content order 0
+    at 7 but norm 7."""
+    det = basis_change_determinant(group, s, q, conductor)
+    return _unit_above_p([det], det.ctx, prime_power_base(q))
 
 
 def decompose_tame_resolvend(h: TameHom, a: Resolvend,
@@ -274,8 +300,7 @@ def _unit_above_p(values, ctx: CycContext, p: int) -> bool:
 
 
 def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupElement,
-                                r: int, ctx: CycContext | None = None,
-                                bound: int = 2, max_support: int = 3) -> Resolvend:
+                                r: int, ctx: CycContext | None = None) -> Resolvend:
     """Bounded search for a normal-basis style generator of the degree-|t|
     unramified extension, modeled inside Q(zeta_r) with Frobenius zeta -> zeta^q.
 
@@ -300,7 +325,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     # search and certify over the cyclic span; the certificate transfers to the
     # ambient group because resolvents there only see the restriction to <t>
     habs = FiniteAbelianGroup((m,))
-    for cand in _search_candidates(r, bound, max_support):
+    for cand in _search_candidates(r, SEARCH_BOUND, SEARCH_SUPPORT):
         theta = alg.zero()
         for j, coeff in cand:
             theta = theta + root_of_unity(ctx, r, j) * coeff
@@ -318,4 +343,5 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
         if unit_certificate(a).ok:
             return Resolvend(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})
     raise SearchFailureError(
-        f"no certified generator with support <= {max_support}, coefficients in [-{bound},{bound}]")
+        f"no certified generator with support <= {SEARCH_SUPPORT}, "
+        f"coefficients in [-{SEARCH_BOUND},{SEARCH_BOUND}]")

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
 
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
 from .groupring import Resolvend, identity_resolvend, involution, resolvent, transpose_lift
-from .groups import FiniteAbelianGroup, GroupElement, element_order
+from .groups import FiniteAbelianGroup, GroupElement, element_order, prime_factors
 from .laurent import LaurentAlgebra, LaurentElement
 from .stickelberger import char_exponent, char_inv, characters
 
@@ -108,7 +107,7 @@ class WildAlgebra(LaurentAlgebra):
         key = (p, copies)
         if key in cls._cache:
             return cls._cache[key]
-        if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        if p < 3 or prime_factors(p) != {p: 1}:
             raise PreconditionError(f"p = {p} is not an odd prime")
         if copies < 1:
             raise PreconditionError("need at least one variable block")
@@ -140,9 +139,17 @@ class WildAlgebra(LaurentAlgebra):
             new.append(ne.numerator)
         return tuple(new)
 
-    def y(self, i: int, copy: int = 0, power: int = 1) -> WildElement:
+    def y(self, i: int, power: int = 1) -> WildElement:
+        """y_i^power in the first variable block."""
         exps = [0] * self.nvars
-        exps[self.var_index(i, copy)] = power
+        exps[self.var_index(i)] = power
+        return self.monomial(exps, self.ctx.one())
+
+    def standard_monomial(self, k: int, copy: int = 0) -> WildElement:
+        """prod_i y_i^{c(ik)} on one variable block."""
+        exps = [0] * self.nvars
+        for i in range(1, self.p):
+            exps[self.var_index(i, copy)] = centered(self.p, i * k)
         return self.monomial(exps, self.ctx.one())
 
     def val(self, x: WildElement):
@@ -205,10 +212,7 @@ def build_alpha(p: int, algebra: WildAlgebra | None = None, copy: int = 0) -> Wi
     alg = algebra or WildAlgebra(p)
     acc = alg.zero()
     for k in range(p):
-        exps = [0] * alg.nvars
-        for i in range(1, p):
-            exps[alg.var_index(i, copy)] = centered(p, i * k)
-        acc = acc + alg.monomial(exps, alg.ctx.one())
+        acc = acc + alg.standard_monomial(k, copy)
     return acc * Fraction(1, p)
 
 
@@ -228,13 +232,13 @@ def wild_generator(group: FiniteAbelianGroup, t: GroupElement,
 
 
 def pth_power_map(group: FiniteAbelianGroup, t: GroupElement,
-                  algebra: WildAlgebra, copy: int = 0) -> Resolvend:
+                  algebra: WildAlgebra) -> Resolvend:
     """g(t^{c(i)}) = x_i := y_i^p for i != 0, and 1 at the identity."""
     p = algebra.p
     t = group.element(t)
     values = {group.identity: algebra.one()}
     for i in range(1, p):
-        values[group.scale(t, centered(p, i))] = algebra.y(i, copy, power=p)
+        values[group.scale(t, centered(p, i))] = algebra.y(i, power=p)
     return Resolvend(group, algebra, values)
 
 
@@ -245,10 +249,7 @@ def tau_scaling_check(p: int) -> bool:
     """tau~^{c(j)}(prod_i y_i^{c(ik)}) = zeta^{c(jk)} prod_i y_i^{c(ik)} for all j, k."""
     alg = WildAlgebra(p)
     for k in range(p):
-        exps = [0] * alg.nvars
-        for i in range(1, p):
-            exps[i - 1] = centered(p, i * k)
-        mono = alg.monomial(exps, alg.ctx.one())
+        mono = alg.standard_monomial(k)
         for j in range(p):
             want = mono * alg.ctx.zeta_power(centered(p, j * k) % p)
             if tau_action(mono, j) != want:
@@ -267,12 +268,8 @@ def wild_resolvent_identity(group: FiniteAbelianGroup, t: GroupElement,
     lift = transpose_lift(pth_power_map(group, t, alg))
     step = group.exponent // p
     for chi in characters(group):
-        # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^k
-        k = char_exponent(group, chi, t) // step % p
-        exps = [0] * alg.nvars
-        for i in range(1, p):
-            exps[i - 1] = centered(p, i * k)
-        mono = alg.monomial(exps, alg.ctx.one())
+        # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^(m / step)
+        mono = alg.standard_monomial(char_exponent(group, chi, t) // step)
         if resolvent(a, chi) != mono or lift.values[chi] != mono:
             return False
     return True

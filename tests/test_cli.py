@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resolvend import tame
 from resolvend.cli import main
 from resolvend.cyclotomic import CycContext
 
@@ -98,6 +99,30 @@ def test_tame_gen(capsys):
     assert result["basis_change_unit"]
     assert all(row["matches_pi_power"] for row in result["resolvents"])
     assert len(result["generator"]) == 3
+
+
+def test_tame_gen_rejects_a_non_unit_determinant(capsys, monkeypatch):
+    # 3 + zeta_3 has content order 0 at 7 but norm 7, so it is not a unit
+    fake = CycContext(3).zeta_power(1) + 3
+    monkeypatch.setattr(tame, "basis_change_determinant", lambda *args: fake)
+    code, out = run_cli(capsys, "tame-gen", "--group", "3", "--e", "3",
+                        "--q", "7", "--s", "1")
+    data = json.loads(out)
+    assert code == 1
+    assert data["status"] == "fail"
+    assert data["result"]["basis_change_unit"] is False
+    assert data["result"]["certificate"]["ok"]
+
+
+def test_tame_gen_rejects_short_conductor(capsys):
+    """The group exponent 9 needs order-9 roots that conductor 3 lacks; the
+    resolvent table's root of unity catches it."""
+    code, out = run_cli(capsys, "tame-gen", "--group", "9", "--e", "3",
+                        "--q", "7", "--s", "3", "--conductor", "3")
+    data = json.loads(out)
+    assert code == 2
+    assert data["status"] == "error"
+    assert data["result"]["error"] == "conductor 3 lacks order-9 roots"
 
 
 def test_wild_verify(capsys):

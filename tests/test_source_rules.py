@@ -115,3 +115,80 @@ def test_unreferenced_rule_catches_each_form():
     other = "from .m import unused\n"
     assert _unreferenced({"m": code, "n": other}, {"m.traced"}) == [
         "m.Kept.orphan", "m.Kept.shadowed", "m.Orphan", "m.recursive", "m.unused"]
+
+
+def _unset_defaults(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """``path(param)`` for each defaulted parameter of a public function or
+    method of ``sources`` that no call in ``sources`` sets, by position or by
+    keyword.  Calls match by name as in ``_unreferenced``: ``f(...)`` and
+    ``x.f(...)`` may call a module-level ``f``, and ``x.m(...)`` may call a
+    method ``m``, whose first parameter is bound.  A call inside the
+    definition itself does not count, and ``*args`` or ``**kwargs`` in a call
+    sets every parameter it could reach."""
+    calls: dict[tuple[bool, str], list[tuple[str, ast.Call]]] = {}
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                keys = [(False, node.func.id)]
+            elif isinstance(node.func, ast.Attribute):
+                keys = [(True, node.func.attr), (False, node.func.attr)]
+            else:
+                continue
+            for key in keys:
+                calls.setdefault(key, []).append((module, node))
+
+    def sets(call: ast.Call, index: int | None, name: str) -> bool:
+        """Whether ``call`` sets the parameter ``name`` (keyword-only when
+        ``index`` is None)."""
+        if index is not None and (len(call.args) > index or any(
+                isinstance(a, ast.Starred) for a in call.args)):
+            return True
+        return any(kw.arg is None or kw.arg == name for kw in call.keywords)
+
+    found = []
+    for module, tree in trees.items():
+        for path, node, is_method in _public_defs(module, tree):
+            if not isinstance(node, ast.FunctionDef) or path in exempt:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                          for d in node.decorator_list)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            callers = [call for m, call in calls.get((is_method, node.name), ())
+                       if not (m == module and node.lineno <= call.lineno <= node.end_lineno)]
+            for index, name in defaulted:
+                if not any(sets(call, index, name) for call in callers):
+                    found.append(f"{path}({name})")
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    """No public function or method carries a knob that the package never
+    turns.  ``cli.main(argv)`` is set from outside the package, by
+    ``python -m resolvend.cli`` and the benchmark's child."""
+    sources = {path.stem: path.read_text()
+               for path in Path(resolvend.__file__).parent.glob("*.py")}
+    assert _unset_defaults(sources, {"cli.main"}) == []
+
+
+def test_unset_default_rule_catches_each_form():
+    code = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, c=5)\n\n"
+            "def g(a, b=1):\n    return a\n\n"
+            "def h(a, b=1, c=2):\n    return a\n\n"
+            "def exempt(a=1):\n    return a\n\n"
+            "def _private(a=1):\n    return a\n\n"
+            "class K:\n"
+            "    def m(self, a, b=1, c=2):\n        return a\n"
+            "    @staticmethod\n"
+            "    def s(a, b=1):\n        return a\n\n"
+            "g(1, 2)\nh(*args)\nK().m(1, 2)\nK.s(1)\nf(1, e=6)\n")
+    other = "from .m import f\nf(0, d=7)\n"
+    assert _unset_defaults({"m": code, "n": other}, {"m.exempt"}) == [
+        "m.K.m(c)", "m.K.s(b)", "m.f(b)", "m.f(c)"]

@@ -78,15 +78,14 @@ def test_pairing_table_on_c3():
 
 def test_pairing_is_centered_and_antisymmetric():
     group = FiniteAbelianGroup((3, 9))
-    ctx = CycContext(9)
     for chi in characters(group):
         for s in group.elements():
-            v = stickelberger_pairing(group, chi, s, ctx)
+            v = stickelberger_pairing(group, chi, s)
             n = element_order(group, s)
             assert abs(v) <= Fraction(n - 1, 2 * n)
             assert v * n == int(v * n)
             # conjugate character negates the centered pairing (odd order)
-            assert stickelberger_pairing(group, char_inv(group, chi), s, ctx) == -v
+            assert stickelberger_pairing(group, char_inv(group, chi), s) == -v
 
 
 def _pairing_by_dlog(group, chi, s, ctx):
@@ -120,17 +119,10 @@ def test_pairing_matches_dlog_reference():
         ctx = CycContext(group.exponent)
         for chi in characters(group):
             for s in group.elements():
-                assert (stickelberger_pairing(group, chi, s, ctx)
+                assert (stickelberger_pairing(group, chi, s)
                         == _pairing_by_dlog(group, chi, s, ctx))
                 pairs += 1
     assert pairs == 5817
-
-
-def test_pairing_rejects_short_conductor():
-    group = FiniteAbelianGroup((9,))
-    with pytest.raises(InvalidElementError):
-        stickelberger_pairing(group, (1,), (1,), CycContext(3))
-    assert stickelberger_pairing(group, (1,), (0,), CycContext(3)) == 0
 
 
 def test_pairing_sign_fault():
@@ -164,23 +156,21 @@ def test_theta_shape():
 def test_integrality_matches_trivial_det_exhaustively():
     """The theorem, checked directly on every psi with small coefficients."""
     group = FiniteAbelianGroup((3,))
-    ctx = CycContext(3)
     chars = list(characters(group))
     for coeffs in itertools.product(range(-2, 3), repeat=len(chars)):
         psi = {chi: c for chi, c in zip(chars, coeffs) if c}
         trivial = det_map(group, psi) == group.identity
-        assert integrality_check(group, psi, ctx) == trivial
+        assert integrality_check(group, psi) == trivial
 
 
 def test_integrality_matches_trivial_det_sampled():
     group = FiniteAbelianGroup((5,))
-    ctx = CycContext(5)
     chars = list(characters(group))
     rng = random.Random("stickelberger-c5")
     for _ in range(200):
         psi = {chi: rng.randrange(-2, 3) for chi in chars}
         trivial = det_map(group, psi) == group.identity
-        assert integrality_check(group, psi, ctx) == trivial
+        assert integrality_check(group, psi) == trivial
 
 
 def test_kernel_basis_structure():
@@ -209,6 +199,65 @@ def test_kernel_membership():
     for _ in range(100):
         psi = {chi: rng.randrange(-3, 4) for chi in chars}
         assert basis.contains(psi) == (det_map(group, psi) == group.identity)
+
+
+def _contains_by_gauss_jordan(basis, psi):
+    """Reference membership: solve over Q against the basis vectors by
+    Gauss-Jordan elimination, then demand an integral solution that
+    reproduces psi."""
+    target = [psi.get(chi, 0) for chi in basis.characters]
+    n, k = len(basis.characters), len(basis.vectors)
+    rows = [[Fraction(basis.vectors[i][j]) for i in range(k)] + [Fraction(target[j])]
+            for j in range(n)]
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    sol = [Fraction(0)] * k
+    r = 0
+    for c in range(k):
+        if r < n and rows[r][c] != 0:
+            sol[c] = rows[r][-1] / rows[r][c]
+            r += 1
+    for j in range(n):
+        if sum(sol[i] * basis.vectors[i][j] for i in range(k)) != target[j]:
+            return False
+    return all(x.denominator == 1 for x in sol)
+
+
+def test_kernel_membership_matches_gauss_jordan():
+    """The integer pivot walk agrees with the rational solve on random
+    combinations, on lattice members and on members plus one character,
+    for every odd group of order <= 27."""
+    rng = random.Random("kernel-gauss-jordan")
+    verdicts = set()
+    for group in _odd_groups(27):
+        basis = DetKernelBasis(group)
+        chars = basis.characters
+        samples = [{chi: rng.randrange(-3, 4) for chi in chars} for _ in range(4)]
+        for _ in range(4):
+            member = {chi: 0 for chi in chars}
+            for vec in basis.vectors:
+                mult = rng.randrange(-2, 3)
+                for chi, c in zip(chars, vec):
+                    member[chi] += mult * c
+            samples.append(member)
+            shifted = dict(member)
+            shifted[rng.choice(chars)] += 1
+            samples.append(shifted)
+        for psi in samples:
+            fast = basis.contains(psi)
+            assert fast == _contains_by_gauss_jordan(basis, psi), (group.spec, psi)
+            assert fast == (det_map(group, psi) == group.identity)
+            verdicts.add(fast)
+    assert verdicts == {True, False}
 
 
 def test_equivariance():

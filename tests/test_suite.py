@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resolvend import faults
+from resolvend import faults, tame
+from resolvend.cyclotomic import CycContext
 from resolvend.errors import PreconditionError
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.suite import (
@@ -80,6 +81,16 @@ def test_mutation_breaks_targeted_check():
     assert failed and all(e.witness for e in failed)
     with pytest.raises(PreconditionError):
         run_suite(mutate="no-such-fault", checks=["07"])
+
+
+def test_check_04_rejects_a_non_unit_determinant(monkeypatch):
+    # 3 + zeta_3 has content order 0 at 7 but norm 7, so it is not a unit
+    fake = CycContext(3).zeta_power(1) + 3
+    monkeypatch.setattr(tame, "basis_change_determinant", lambda *args: fake)
+    report = run_suite(checks=["04"], e_list=(3,))
+    failed = [e for e in report.entries if not e.ok]
+    assert [e.params["aspect"] for e in failed] == ["basis-determinant"]
+    assert failed[0].witness == "not a unit at some prime above 7"
 
 
 def test_mutation_sensitivity_check_is_self_contained():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from resolvend import faults
+from resolvend import faults, tame
 from resolvend.cyclotomic import (
     CycAlgebra,
     CycContext,
@@ -44,14 +44,17 @@ from resolvend.tame import (
     TameHom,
     _unit_above_p,
     basis_change_determinant,
+    basis_change_is_unit,
     build_model,
     decompose_tame_resolvend,
     factorize,
     inversion_identity_check,
     recompose,
+    resolvent_table,
     tame_generator,
     unramified_generator_search,
 )
+from resolvend.suite import TAME_Q
 
 C3 = FiniteAbelianGroup((3,))
 
@@ -93,9 +96,12 @@ def test_resolvent_table():
         s = (1,)
         a = tame_generator(group, s, q)
         model = a.algebra
-        for chi in characters(group):
-            want = model.pi_power(stickelberger_pairing(group, chi, s))
-            assert resolvent(a, chi) == want
+        rows = list(resolvent_table(a, s))
+        assert [row[0] for row in rows] == list(characters(group))
+        for chi, pairing, value, match in rows:
+            assert pairing == stickelberger_pairing(group, chi, s)
+            assert value == resolvent(a, chi) == model.pi_power(pairing)
+            assert match
 
 
 def test_generator_certificate_passes():
@@ -115,11 +121,20 @@ def test_inversion_identity():
 
 
 def test_basis_change_determinant_is_a_unit():
-    for e, q in ((3, 7), (5, 11)):
-        group = FiniteAbelianGroup((e,))
-        d = basis_change_determinant(group, (1,), q)
-        alg = CycAlgebra(CycContext(e), prime_power_base(q))
-        assert alg.val(d) == 0
+    """Every suite determinant, and the composite's at conductor 57, is a unit
+    at each prime above q.  Content order 0 is necessary, not sufficient:
+    3 + zeta_3 has content order 0 at 7, yet its norm is 7."""
+    cases = [(FiniteAbelianGroup((e,)), (1,), q, None) for e, q in sorted(TAME_Q.items())]
+    cases.append((FiniteAbelianGroup((3, 3)), (1, 0), 7, 57))
+    for group, s, q, conductor in cases:
+        assert basis_change_is_unit(group, s, q, conductor)
+        d = basis_change_determinant(group, s, q, conductor)
+        alg = CycAlgebra(d.ctx, prime_power_base(q))
+        assert alg.val(d) == 0  # the content order is a lower bound only
+    ctx = CycContext(3)
+    fake = ctx.zeta_power(1) + 3
+    assert content_ord(fake, 7) == 0
+    assert not _unit_above_p([fake], ctx, 7)
 
 
 def test_decompose_recompose_roundtrip():
@@ -228,6 +243,8 @@ def test_unit_filter_matches_exact_inversion():
     assert checked_units > 10  # the sweep saw both outcomes
 
 
-def test_search_exhaustion():
-    with pytest.raises(SearchFailureError):
-        unramified_generator_search(C3, 7, (1,), 9, bound=1, max_support=1)
+def test_search_exhaustion(monkeypatch):
+    monkeypatch.setattr(tame, "SEARCH_BOUND", 1)
+    monkeypatch.setattr(tame, "SEARCH_SUPPORT", 1)
+    with pytest.raises(SearchFailureError, match=r"support <= 1, coefficients in \[-1,1\]"):
+        unramified_generator_search(C3, 7, (1,), 9)
