@@ -48,10 +48,10 @@ from .tame import (
 from .wild import (
     WildAlgebra,
     alpha_valuation_bound,
-    build_alpha,
     is_omega_invariant,
     tau_scaling_check,
     weight_lower_bound,
+    wild_generator,
     wild_resolvent_identity,
     wild_unit_resolvents,
 )
@@ -210,8 +210,8 @@ def cmd_tame_gen(args) -> tuple:
               "value": model.to_json(value), "matches_pi_power": match}
              for chi, pairing, value, match in resolvent_table(a, s)]
     cert = generator_certificate(a, (1 - e) // 2)
-    inversion = inversion_identity_check(e, args.q, conductor)
-    det_unit = basis_change_is_unit(group, s, args.q, conductor)
+    inversion = inversion_identity_check(a, s)
+    det_unit = basis_change_is_unit(a, s)
     result = {"group": group.spec, "e": e, "q": args.q, "s": _label(s),
               "conductor": conductor,
               "generator": {_label(g): model.to_json(v)
@@ -231,11 +231,12 @@ def cmd_wild_verify(args) -> tuple:
     alg = WildAlgebra(p)
     group = FiniteAbelianGroup((p,))
     t = (1,)
-    alpha = build_alpha(p, alg)
+    a = wild_generator(group, t, alg)
+    alpha = a.value(group.identity)  # tau^0(alpha)
     w_y = weight_lower_bound(alg.y(1) - alg.one())
     w_zeta = weight_lower_bound(alg.from_cyc(alg.ctx.zeta_power(1) - alg.ctx.one()))
     w_alpha = weight_lower_bound(alpha * p - p)
-    bound = alpha_valuation_bound(p)
+    bound = alpha_valuation_bound(alpha)
     report = [
         {"statement": "the averaged spanning element is invariant under "
                       "every coefficient twist",
@@ -245,7 +246,7 @@ def cmd_wild_verify(args) -> tuple:
          "holds": tau_scaling_check(p)},
         {"statement": "the resolvent of the twist orbit equals the "
                       "distinguished monomial and its transpose lift",
-         "holds": wild_resolvent_identity(group, t, alg)},
+         "holds": wild_resolvent_identity(a, t)},
         {"statement": "weights: w(y-1) = 1, w(zeta-1) = p, w(p*alpha-p) = p-1",
          "holds": w_y == 1 and w_zeta == p and w_alpha == p - 1,
          "w_y_minus_1": w_y, "w_zeta_minus_1": w_zeta,
@@ -254,7 +255,7 @@ def cmd_wild_verify(args) -> tuple:
          "holds": bound == 1 - p, "bound": bound},
         {"statement": "every resolvent is a unit monomial and "
                       "r * involution(r) = 1",
-         "holds": wild_unit_resolvents(group, t, alg)},
+         "holds": wild_unit_resolvents(a)},
     ]
     ok = all(item["holds"] for item in report)
     return {"p": p, "propositions": report}, ok

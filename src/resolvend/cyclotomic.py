@@ -409,14 +409,6 @@ class CycAlgebra:
     def one(self) -> CycNumber:
         return self.ctx.one()
 
-    def from_cyc(self, c: CycNumber) -> CycNumber:
-        if c.ctx.n != self.ctx.n:
-            raise ConductorError(f"conductor mismatch {c.ctx.n} vs {self.ctx.n}")
-        return c
-
-    def from_rational(self, r) -> CycNumber:
-        return self.ctx.from_rational(r)
-
     def is_zero(self, x: CycNumber) -> bool:
         return x.is_zero()
 

@@ -10,9 +10,10 @@ s -> s^{-1} on the map) is the one reindexing.
 The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
 ``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
-algebra of ``wild``.  The algebra object exposes
-zero/one/from_cyc/is_zero/inv/frac_power/val and the values carry exact
-ring arithmetic.  Inversion always happens pointwise in character space.
+algebra of ``wild``.  The algebra object exposes ``ctx`` and
+zero/one/is_zero/inv/frac_power/val, a local model for
+``generator_certificate`` also ``in_base_field``, and the values carry
+exact ring arithmetic.  Inversion always happens pointwise in character space.
 """
 
 from __future__ import annotations

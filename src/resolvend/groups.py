@@ -70,14 +70,6 @@ class FiniteAbelianGroup:
             self.order *= d
         self.identity: GroupElement = (0,) * self.rank
 
-    @classmethod
-    def from_spec(cls, spec: str) -> "FiniteAbelianGroup":
-        try:
-            parts = [int(x) for x in spec.split(",") if x.strip() != ""]
-        except ValueError as exc:
-            raise InvalidGroupError(f"bad group spec {spec!r}") from exc
-        return cls(parts)
-
     @property
     def spec(self) -> str:
         return ",".join(str(d) for d in self.factors)

@@ -67,13 +67,13 @@ from .tame import (
 from .wild import (
     WildAlgebra,
     alpha_valuation_bound,
-    build_alpha,
     elementary_product_check,
     is_omega_invariant,
     omega_action,
     tau_action,
     tau_scaling_check,
     weight_lower_bound,
+    wild_generator,
     wild_resolvent_identity,
     wild_unit_resolvents,
 )
@@ -388,8 +388,8 @@ def check_04_tame_generator(cfg: SuiteConfig):
         q = TAME_Q[e]
         group = FiniteAbelianGroup((e,))
         s = (1,)
-        model = build_model(e, q)
         a = tame_generator(group, s, q)
+        model = a.algebra
 
         bad_chi = next((chi for chi, _, _, match in resolvent_table(a, s) if not match), None)
         yield _entry(cid, "the generator's resolvent equals pi to the pairing "
@@ -401,7 +401,7 @@ def check_04_tame_generator(cfg: SuiteConfig):
         yield _entry(cid, "twisted conjugate sums of the generator recover "
                           "each fractional pi power",
                      {"e": e, "q": q, "aspect": "inversion"},
-                     inversion_identity_check(e, q))
+                     inversion_identity_check(a, s))
 
         cert = generator_certificate(a, (1 - e) // 2)
         yield _entry(cid, "the generator map passes the exact certificate at "
@@ -409,7 +409,7 @@ def check_04_tame_generator(cfg: SuiteConfig):
                      {"e": e, "q": q, "aspect": "certificate"},
                      cert.ok, "; ".join(cert.witnesses) or None)
 
-        det_ok = basis_change_is_unit(group, s, q)
+        det_ok = basis_change_is_unit(a, s)
         yield _entry(cid, "the determinant of the conjugate-to-pi-power basis "
                           "change is a unit above q",
                      {"e": e, "q": q, "aspect": "basis-determinant"},
@@ -435,10 +435,9 @@ def _composite(cfg: SuiteConfig) -> dict:
         s = (1, 0)
         t = (0, 1)
         q, r, conductor = 7, 19, 57
-        ctx = CycContext(conductor)
         model = build_model(3, q, conductor=conductor)
         a_ram = tame_generator(group, s, q, conductor=conductor)
-        a_nr = unramified_generator_search(group, q, t, r, ctx=ctx)
+        a_nr = unramified_generator_search(group, q, t, r)
         a_nr = a_nr.into(model, model.from_cyc)
         cfg.shared["composite"] = {
             "group": group, "s": s, "t": t, "q": q, "r": r,
@@ -622,7 +621,8 @@ def check_08_wild(cfg: SuiteConfig):
         alg = WildAlgebra(p)
         group = FiniteAbelianGroup((p,))
         t = (1,)
-        alpha = build_alpha(p, alg)
+        a = wild_generator(group, t, alg)
+        alpha = a.value(group.identity)  # tau^0(alpha)
 
         yield _entry(cid, "the averaged spanning element is invariant under "
                           "every coefficient twist",
@@ -637,7 +637,7 @@ def check_08_wild(cfg: SuiteConfig):
         yield _entry(cid, "the resolvent of the twist orbit equals the "
                           "distinguished monomial and its transpose lift",
                      {"p": p, "aspect": "resolvent-identity"},
-                     wild_resolvent_identity(group, t, alg))
+                     wild_resolvent_identity(a, t))
 
         one = alg.one()
         zeta = alg.from_cyc(alg.ctx.zeta_power(1) - alg.ctx.one())
@@ -645,7 +645,7 @@ def check_08_wild(cfg: SuiteConfig):
         w_yinv = weight_lower_bound(alg.y(1, power=-1) - one)
         w_zeta = weight_lower_bound(zeta)
         w_alpha = weight_lower_bound(alpha * p - p)
-        bound = alpha_valuation_bound(p)
+        bound = alpha_valuation_bound(alpha)
         weights_ok = (w_y == 1 and w_yinv == 1 and w_zeta == p
                       and w_alpha == p - 1 and bound == 1 - p)
         yield _entry(cid, "weight bounds: w(y-1)=1, w(zeta-1)=p, "
@@ -658,7 +658,7 @@ def check_08_wild(cfg: SuiteConfig):
         yield _entry(cid, "every resolvent of the twist orbit is a unit "
                           "monomial and r * involution(r) = 1",
                      {"p": p, "aspect": "unit-duality"},
-                     wild_unit_resolvents(group, t, alg))
+                     wild_unit_resolvents(a))
 
         rng = random.Random(f"{cfg.seed}:wild:{p}")
         rel_ok = True
@@ -769,7 +769,7 @@ def _pairing_flip_detected() -> bool:
 
 
 def _alpha_fault_detected() -> bool:
-    return not inversion_identity_check(3, 7)
+    return not inversion_identity_check(tame_generator(FiniteAbelianGroup((3,)), (1,), 7), (1,))
 
 
 def _omega_fault_detected() -> bool:

@@ -141,16 +141,22 @@ def resolvent_table(a: Resolvend, s: GroupElement):
         yield chi, pairing, value, value == model.pi_power(pairing)
 
 
-def inversion_identity_check(e: int, q: int, conductor: int | None = None) -> bool:
-    """sum_i sigma^i(alpha) zeta_e^(-(l+(1-e)/2) i) = Pi^(l+(1-e)/2) for all l."""
-    model = build_model(e, q, conductor)
-    alpha = _alpha(model)
+def _conjugates(a: Resolvend, s: GroupElement) -> list:
+    """[a(s^i) for i < e]: the conjugates sigma^i(alpha) when a is the
+    generator attached to s, whose order must be the model's e."""
+    span = a.group.cyclic_span(a.group.element(s))
+    if len(span) != a.algebra.e:
+        raise PreconditionError(f"s has order {len(span)}, not the model's e = {a.algebra.e}")
+    return [a.value(g) for g in span]
+
+
+def inversion_identity_check(a: Resolvend, s: GroupElement) -> bool:
+    """sum_i a(s^i) zeta_e^(-(l+(1-e)/2) i) = Pi^(l+(1-e)/2) for all l, where
+    a(s^i) = sigma^i(alpha) for the generator a attached to s."""
+    model = a.algebra
+    e = model.e
     lo = (1 - e) // 2
-    conj = []
-    current = alpha
-    for _ in range(e):
-        conj.append(current)
-        current = model.sigma(current)
+    conj = _conjugates(a, s)
     for l in range(e):
         acc = model.zero()
         for i in range(e):
@@ -160,33 +166,27 @@ def inversion_identity_check(e: int, q: int, conductor: int | None = None) -> bo
     return True
 
 
-def basis_change_determinant(group: FiniteAbelianGroup, s: GroupElement, q: int,
-                             conductor: int | None = None):
-    """Determinant of the matrix expressing the conjugates sigma^i(alpha) in
-    the power basis Pi^(k+(1-e)/2); a unit determinant certifies that the
-    conjugates form a basis over the base ring."""
-    a = tame_generator(group, s, q, conductor)
+def basis_change_determinant(a: Resolvend, s: GroupElement):
+    """Determinant of the matrix expressing the conjugates a(s^i) =
+    sigma^i(alpha) in the power basis Pi^(k+(1-e)/2); a unit determinant
+    certifies that the conjugates form a basis over the base ring."""
     model = a.algebra
     e = model.e
     lo = (1 - e) // 2
-    rows = []
-    for g in group.cyclic_span(group.element(s)):
-        x = a.value(g)
-        rows.append([x.terms.get(k + lo, model.ctx.zero()) for k in range(e)])
-    return cyc_det(rows)
+    return cyc_det([[x.terms.get(k + lo, model.ctx.zero()) for k in range(e)]
+                    for x in _conjugates(a, s)])
 
 
-def basis_change_is_unit(group: FiniteAbelianGroup, s: GroupElement, q: int,
-                         conductor: int | None = None) -> bool:
+def basis_change_is_unit(a: Resolvend, s: GroupElement) -> bool:
     """Whether the basis-change determinant is a unit at every prime above q.
     Exact, where a content order of 0 is not: 3 + zeta_3 has content order 0
     at 7 but norm 7."""
-    det = basis_change_determinant(group, s, q, conductor)
-    return _unit_above_p([det], det.ctx, prime_power_base(q))
+    det = basis_change_determinant(a, s)
+    return _unit_above_p([det], det.ctx, a.algebra.p)
 
 
 def decompose_tame_resolvend(h: TameHom, a: Resolvend,
-                             basis: DetKernelBasis | None = None) -> tuple[Resolvend, PrimeFElement]:
+                             basis: DetKernelBasis) -> tuple[Resolvend, PrimeFElement]:
     """Factor r(a) as u * lift(f_s): checks the generator certificate, builds
     the unit part u in character space, certifies u and u^{-1} integral, and
     verifies the factorization on the determinant kernel."""
@@ -207,8 +207,6 @@ def decompose_tame_resolvend(h: TameHom, a: Resolvend,
     for g, c in invert_resolvend(u).coeffs.items():
         if model.val(c) < 0:
             raise NotAGeneratorError(f"inverse of unit part not integral at {g}")
-    if basis is None:
-        basis = DetKernelBasis(group)
     if not reduced_equal(a, u * from_character_space(vf), basis):
         raise NotAGeneratorError("factorization fails reduced equality")
     return u, f
@@ -300,7 +298,7 @@ def _unit_above_p(values, ctx: CycContext, p: int) -> bool:
 
 
 def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupElement,
-                                r: int, ctx: CycContext | None = None) -> Resolvend:
+                                r: int) -> Resolvend:
     """Bounded search for a normal-basis style generator of the degree-|t|
     unramified extension, modeled inside Q(zeta_r) with Frobenius zeta -> zeta^q.
 
@@ -310,10 +308,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     """
     t = group.element(t)
     m = element_order(group, t)
-    if ctx is None:
-        ctx = CycContext(math.lcm(group.exponent, r))
-    if ctx.n % r:
-        raise PreconditionError(f"search context N={ctx.n} lacks order-{r} roots")
+    ctx = CycContext(math.lcm(group.exponent, r))
     p = prime_power_base(q)
     alg = CycAlgebra(ctx, p=p)
     if t == group.identity:

@@ -152,10 +152,6 @@ class WildAlgebra(LaurentAlgebra):
             exps[self.var_index(i, copy)] = centered(self.p, i * k)
         return self.monomial(exps, self.ctx.one())
 
-    def val(self, x: WildElement):
-        """Certified lower bound for the valuation; exact on monomials."""
-        return weight_lower_bound(x)
-
     def is_unit_monomial(self, x: WildElement) -> bool:
         """Single Laurent term whose coefficient is a unit of Z[zeta_p]."""
         if len(x.terms) != 1:
@@ -207,13 +203,12 @@ def is_omega_invariant(x: WildElement) -> bool:
 # -- the generator element ---------------------------------------------------
 
 
-def build_alpha(p: int, algebra: WildAlgebra | None = None, copy: int = 0) -> WildElement:
+def build_alpha(alg: WildAlgebra, copy: int = 0) -> WildElement:
     """alpha = (1/p) sum_k prod_i y_i^{c(ik)}; omega-invariant by construction."""
-    alg = algebra or WildAlgebra(p)
     acc = alg.zero()
-    for k in range(p):
+    for k in range(alg.p):
         acc = acc + alg.standard_monomial(k, copy)
-    return acc * Fraction(1, p)
+    return acc * Fraction(1, alg.p)
 
 
 def wild_generator(group: FiniteAbelianGroup, t: GroupElement,
@@ -224,7 +219,7 @@ def wild_generator(group: FiniteAbelianGroup, t: GroupElement,
     alg = algebra or WildAlgebra(p)
     if alg.p != p:
         raise PreconditionError(f"algebra is for p = {alg.p}, |t| = {p}")
-    alpha = build_alpha(p, alg, copy)
+    alpha = build_alpha(alg, copy)
     values = {}
     for j in range(p):
         values[group.scale(t, centered(p, j))] = tau_action(alpha, j, copy)
@@ -257,16 +252,14 @@ def tau_scaling_check(p: int) -> bool:
     return True
 
 
-def wild_resolvent_identity(group: FiniteAbelianGroup, t: GroupElement,
-                            algebra: WildAlgebra | None = None) -> bool:
-    """Three-way equality, for every character chi of <t> with chi(t) = zeta^{c(k)}:
+def wild_resolvent_identity(a: Resolvend, t: GroupElement) -> bool:
+    """Three-way equality for the wild generator a attached to t, at every
+    character chi of <t> with chi(t) = zeta^{c(k)}:
     resolvent(a, chi) = prod_i y_i^{c(ik)} = transpose-lift of g at chi."""
+    group, alg = a.group, a.algebra
     t = group.element(t)
-    p = element_order(group, t)
-    alg = algebra or WildAlgebra(p)
-    a = wild_generator(group, t, alg)
     lift = transpose_lift(pth_power_map(group, t, alg))
-    step = group.exponent // p
+    step = group.exponent // alg.p
     for chi in characters(group):
         # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^(m / step)
         mono = alg.standard_monomial(char_exponent(group, chi, t) // step)
@@ -345,12 +338,11 @@ def weight_lower_bound(x: WildElement):
     return best
 
 
-def alpha_valuation_bound(p: int):
+def alpha_valuation_bound(alpha: WildElement):
     """The certified chain: weight_lower_bound(p*alpha - p) >= 1 and alpha
     omega-invariant give v_L(alpha) >= ceil((W - p(p-1))/(p-1)) with
     W = min(bound, p(p-1)); the target inequality is v_L(alpha) >= 1 - p."""
-    alg = WildAlgebra(p)
-    alpha = build_alpha(p, alg)
+    p = alpha.algebra.p
     if not is_omega_invariant(alpha):
         raise PreconditionError("alpha is not omega-invariant; no descent to L")
     w = weight_lower_bound(alpha * p - p)
@@ -364,14 +356,10 @@ def alpha_valuation_bound(p: int):
 # -- unit resolvents and products ---------------------------------------------
 
 
-def wild_unit_resolvents(group: FiniteAbelianGroup, t: GroupElement,
-                         algebra: WildAlgebra | None = None) -> bool:
-    """Every resolvent of the wild generator is a unit monomial and
+def wild_unit_resolvents(a: Resolvend) -> bool:
+    """Every resolvent of the wild generator a is a unit monomial and
     r(a) r(a)^{[-1]} = 1."""
-    t = group.element(t)
-    p = element_order(group, t)
-    alg = algebra or WildAlgebra(p)
-    a = wild_generator(group, t, alg)
+    group, alg = a.group, a.algebra
     for chi in characters(group):
         r1 = resolvent(a, chi)
         if not alg.is_unit_monomial(r1):

@@ -4,14 +4,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resolvend
 from resolvend import tame
 from resolvend.cli import main
 from resolvend.cyclotomic import CycContext
@@ -231,9 +234,13 @@ def test_byte_determinism(capsys):
 
 
 def test_console_script_subprocess():
+    # the child imports the package from where this process found it
+    root = str(Path(resolvend.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "resolvend.cli", "different", "--filtration", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["result"]["v_D"] == 4

@@ -52,16 +52,35 @@ def _public_defs(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item, True
 
 
+def _lineage(name: str, bases: dict[str, list[str]]) -> list[str]:
+    """The class ``name`` and its base classes in ``bases``, transitively."""
+    todo, seen = [name], []
+    while todo:
+        cls = todo.pop()
+        if cls not in seen:
+            seen.append(cls)
+            todo.extend(bases.get(cls, ()))
+    return seen
+
+
 def _unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
     """Public names of ``sources`` (module name -> code) that no code uses
     outside their own definition, matched by name: an attribute ``.name``
-    anywhere uses a method or a module-level name, a bare ``name`` uses a
-    module-level name.  Imports are not uses."""
-    uses: dict[tuple[bool, str], list[tuple[str, int]]] = {}
+    uses a method or a module-level name, except that ``Class.name`` on the
+    bare name of a class of ``sources`` uses only the method ``name`` of that
+    class or of its bases; a bare ``name`` uses a module-level name.
+    Imports are not uses."""
+    uses: dict[tuple[bool | str, str], list[tuple[str, int]]] = {}
     trees = {module: ast.parse(code) for module, code in sources.items()}
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bases):
+                keys = [(cls, node.attr) for cls in _lineage(node.value.id, bases)]
+            elif isinstance(node, ast.Attribute):
                 keys = [(True, node.attr), (False, node.attr)]
             elif isinstance(node, ast.Name):
                 keys = [(False, node.id)]
@@ -72,7 +91,10 @@ def _unreferenced(sources: dict[str, str], exempt: set[str]) -> list[str]:
     found = []
     for module, tree in trees.items():
         for path, node, is_method in _public_defs(module, tree):
-            outside = [(m, line) for m, line in uses.get((is_method, node.name), ())
+            found_uses = uses.get((is_method, node.name), [])
+            if is_method:
+                found_uses = found_uses + uses.get((path.split(".")[-2], node.name), [])
+            outside = [(m, line) for m, line in found_uses
                        if not (m == module and node.lineno <= line <= node.end_lineno)]
             if not outside and path not in exempt:
                 found.append(path)
@@ -111,10 +133,14 @@ def test_unreferenced_rule_catches_each_form():
             "    def orphan(self):\n        return self.orphan()\n"
             "    def shadowed(self):\n        return 5\n\n"
             "class Orphan:\n    pass\n\n"
-            "value = Kept().method()\nshadowed = value\n")
+            "class A:\n    @classmethod\n    def build(cls):\n        return cls()\n\n"
+            "class B:\n    @classmethod\n    def build(cls):\n        return cls()\n\n"
+            "class Sub(A):\n    pass\n\n"
+            "value = Kept().method()\nshadowed = value\nmade = Sub.build()\nkinds = (B,)\n")
     other = "from .m import unused\n"
+    # B.build shares its name with A.build, which only Sub.build reaches
     assert _unreferenced({"m": code, "n": other}, {"m.traced"}) == [
-        "m.Kept.orphan", "m.Kept.shadowed", "m.Orphan", "m.recursive", "m.unused"]
+        "m.B.build", "m.Kept.orphan", "m.Kept.shadowed", "m.Orphan", "m.recursive", "m.unused"]
 
 
 def _unset_defaults(sources: dict[str, str], exempt: set[str]) -> list[str]:

@@ -112,29 +112,48 @@ def test_generator_certificate_passes():
 
 
 def test_inversion_identity():
-    assert inversion_identity_check(3, 7)
-    assert inversion_identity_check(5, 11)
-    assert inversion_identity_check(9, 19)
+    for e, q in ((3, 7), (5, 11), (9, 19)):
+        assert inversion_identity_check(tame_generator(FiniteAbelianGroup((e,)), (1,), q), (1,))
     with faults.inject(faults.ALPHA_UNNORMALIZED):
-        assert not inversion_identity_check(3, 7)
-    assert inversion_identity_check(3, 7)
+        assert not inversion_identity_check(tame_generator(C3, (1,), 7), (1,))
+    a = tame_generator(C3, (1,), 7)
+    assert inversion_identity_check(a, (1,))
+    # the check reads the generator it is given: swapping two conjugates
+    # inverts the twist
+    values = dict(a.values)
+    values[(1,)], values[(2,)] = values[(2,)], values[(1,)]
+    assert not inversion_identity_check(Resolvend(C3, a.algebra, values), (1,))
+    # an s whose order is not the model's e is refused, not read short
+    a9 = tame_generator(FiniteAbelianGroup((9,)), (1,), 19)
+    for check in (inversion_identity_check, basis_change_determinant):
+        with pytest.raises(PreconditionError, match="order 3, not the model's e = 9"):
+            check(a9, (3,))
 
 
 def test_basis_change_determinant_is_a_unit():
     """Every suite determinant, and the composite's at conductor 57, is a unit
     at each prime above q.  Content order 0 is necessary, not sufficient:
-    3 + zeta_3 has content order 0 at 7, yet its norm is 7."""
+    3 + zeta_3 has content order 0 at 7, yet its norm is 7.  Scaling the
+    value at s by pi moves its row out of the power basis: determinant 0."""
     cases = [(FiniteAbelianGroup((e,)), (1,), q, None) for e, q in sorted(TAME_Q.items())]
     cases.append((FiniteAbelianGroup((3, 3)), (1, 0), 7, 57))
     for group, s, q, conductor in cases:
-        assert basis_change_is_unit(group, s, q, conductor)
-        d = basis_change_determinant(group, s, q, conductor)
+        a = tame_generator(group, s, q, conductor)
+        assert a.algebra.ctx.n == (conductor or group.exponent)
+        assert basis_change_is_unit(a, s)
+        d = basis_change_determinant(a, s)
         alg = CycAlgebra(d.ctx, prime_power_base(q))
         assert alg.val(d) == 0  # the content order is a lower bound only
     ctx = CycContext(3)
     fake = ctx.zeta_power(1) + 3
     assert content_ord(fake, 7) == 0
     assert not _unit_above_p([fake], ctx, 7)
+    a = tame_generator(C3, (1,), 7)
+    values = dict(a.values)
+    values[(1,)] = values[(1,)] * a.algebra.pi_power(1)
+    planted = Resolvend(C3, a.algebra, values)
+    assert basis_change_determinant(planted, (1,)).is_zero()
+    assert not basis_change_is_unit(planted, (1,))
 
 
 def test_decompose_recompose_roundtrip():
@@ -155,12 +174,13 @@ def test_decompose_rejects_non_generators():
     model = a.algebra
     # scaling by pi keeps the floor but destroys the unit property
     shifted = a.map_values(lambda v: v * model.pi_power(1))
+    basis = DetKernelBasis(C3)
     with pytest.raises(NotAGeneratorError):
-        decompose_tame_resolvend(h, shifted)
+        decompose_tame_resolvend(h, shifted, basis)
     # dropping a value makes the resolvend singular
     broken = Resolvend(C3, model, {(0,): a.value((0,))})
     with pytest.raises(NotAGeneratorError):
-        decompose_tame_resolvend(h, broken)
+        decompose_tame_resolvend(h, broken, basis)
 
 
 def test_prime_f_element():
@@ -215,9 +235,6 @@ def test_search_preconditions():
         unramified_generator_search(C3, 7, (1,), 5)  # ord_5(7) = 4 != 3
     with pytest.raises(ConductorError):
         unramified_generator_search(C3, 3, (1,), 9)  # residue char inside N
-    group = FiniteAbelianGroup((5,))
-    with pytest.raises(PreconditionError):
-        unramified_generator_search(group, 7, (1,), 9, ctx=CycContext(9))
 
 
 def test_search_identity_component():

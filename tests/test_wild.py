@@ -16,6 +16,7 @@ from resolvend.errors import (
     NotInvertibleError,
     PreconditionError,
 )
+from resolvend.groupring import Resolvend
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.localfield import INF
 from resolvend.wild import (
@@ -172,7 +173,7 @@ def test_omega_action():
 
 def test_alpha_is_omega_invariant():
     for p in (3, 5):
-        assert is_omega_invariant(build_alpha(p))
+        assert is_omega_invariant(build_alpha(WildAlgebra(p)))
     alg = WildAlgebra(3)
     assert not is_omega_invariant(alg.y(1))
 
@@ -201,8 +202,8 @@ def test_wild_generator_values():
     a = wild_generator(group, (1,))
     alg = a.algebra
     assert set(a.values) == set(group.elements())
-    assert a.value((0,)) == build_alpha(3, alg)
-    assert a.value((1,)) == tau_action(build_alpha(3, alg), 1)
+    assert a.value((0,)) == build_alpha(alg)
+    assert a.value((1,)) == tau_action(build_alpha(alg), 1)
     with pytest.raises(PreconditionError):
         wild_generator(group, (1,), WildAlgebra(5))
 
@@ -218,9 +219,15 @@ def test_pth_power_map():
 
 def test_resolvent_identity_and_units():
     for p in (3, 5):
-        group = FiniteAbelianGroup((p,))
-        assert wild_resolvent_identity(group, (1,))
-        assert wild_unit_resolvents(group, (1,))
+        a = wild_generator(FiniteAbelianGroup((p,)), (1,))
+        assert wild_resolvent_identity(a, (1,))
+        assert wild_unit_resolvents(a)
+        # doubling one value adds a second term to every resolvent
+        values = dict(a.values)
+        values[(1,)] = values[(1,)] * 2
+        planted = Resolvend(a.group, a.algebra, values)
+        assert not wild_unit_resolvents(planted)
+        assert not wild_resolvent_identity(planted, (1,))
 
 
 def test_zeta_minus_one_valuation():
@@ -285,7 +292,7 @@ def test_weight_bounds():
         assert weight_lower_bound(alg.y(1) - 1) == 1
         znz = alg.from_cyc(alg.ctx.zeta_power(1) - alg.ctx.one())
         assert weight_lower_bound(znz) == p
-        alpha = build_alpha(p)
+        alpha = build_alpha(alg)
         assert weight_lower_bound(alpha * p - p) == p - 1
         # exact on monomials: z-degree plus p times the coefficient valuation
         mono = alg.y(1, power=2) * (alg.ctx.zeta_power(1) - alg.ctx.one())
@@ -294,9 +301,11 @@ def test_weight_bounds():
 
 
 def test_alpha_valuation_bound():
-    assert alpha_valuation_bound(3) == -2
-    assert alpha_valuation_bound(5) == -4
-    assert alpha_valuation_bound(7) == -6
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(3))) == -2
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(5))) == -4
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(7))) == -6
+    with pytest.raises(PreconditionError):
+        alpha_valuation_bound(WildAlgebra(3).y(1))  # not omega-invariant
 
 
 def test_elementary_products():
