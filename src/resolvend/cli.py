@@ -4,10 +4,10 @@ Every subcommand prints a single JSON envelope
 
     {"command": ..., "params": ..., "result": ..., "status": ...}
 
-and exits 0 when the requested verification passes, 1 when it fails, and
-2 on invalid input.  Output is deterministic: rerunning with identical
-arguments produces identical bytes (suite timings are opt-in because they
-would break that).
+and exits 0 when the requested verification passes, 1 when it fails, 2
+on invalid input and 3 on an internal error.  Output is deterministic:
+rerunning with identical arguments produces identical bytes (suite timings
+are opt-in because they would break that).
 """
 
 from __future__ import annotations
@@ -346,16 +346,18 @@ def main(argv=None) -> int:
                 raise PreconditionError(f"option --{name.replace('_', '-')} has no value")
         result, ok = args.handler(args)
     except ResolvendError as exc:
-        envelope = {"command": args.command, "params": params,
-                    "result": {"error": str(exc)}, "status": "error"}
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-        return 2
-    if result is None:
-        return 0 if ok else 1
+        result, status, code = {"error": str(exc)}, "error", 2
+    except Exception as exc:  # a bug, not a failed verification: no traceback
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        result, status, code = {"error": message}, "error", 3
+    else:
+        if result is None:
+            return 0 if ok else 1
+        status, code = ("ok", 0) if ok else ("fail", 1)
     envelope = {"command": args.command, "params": params, "result": result,
-                "status": "ok" if ok else "fail"}
+                "status": status}
     sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -361,6 +361,9 @@ def content_ord(x: CycNumber, p: int):
 def cyc_det(rows) -> CycNumber:
     """Determinant of a square CycNumber matrix (Gaussian elimination)."""
     n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise PreconditionError(f"determinant needs a non-empty square matrix, "
+                                f"got row lengths {[len(row) for row in rows]}")
     ctx = rows[0][0].ctx
     m = [list(row) for row in rows]
     det = ctx.one()

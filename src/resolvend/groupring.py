@@ -23,7 +23,14 @@ from fractions import Fraction
 
 from .errors import NotGaloisOrbitError, NotInvertibleError, SingularResolvendError
 from .groups import FiniteAbelianGroup, GroupElement
-from .stickelberger import DetKernelBasis, char_inv, char_value, characters, stickelberger_pairing
+from .stickelberger import (
+    CharacterTable,
+    DetKernelBasis,
+    char_inv,
+    char_value,
+    characters,
+    pairing_sign,
+)
 
 
 class Resolvend:
@@ -237,20 +244,20 @@ def unit_certificate(a: Resolvend) -> CertificateReport:
 
 def transpose_lift(g: Resolvend) -> CharacterVector:
     """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
-    g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra."""
+    g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra
+    and <chi, s> = c/exp(G) read from the character table."""
     group, alg = g.group, g.algebra
+    table = CharacterTable(group)
+    sign, m = pairing_sign(), group.exponent
     one = alg.one()
+    support = [(j, v) for j, v in enumerate(map(g.value, group.elements()))
+               if j and v != one]  # position 0 is the identity
     values = {}
-    for chi in characters(group):
+    for chi, row in zip(characters(group), table.rows):
         acc = one
-        for s in group.elements():
-            if s == group.identity:
-                continue
-            v = g.value(s)
-            ex = stickelberger_pairing(group, chi, s)
-            if ex == 0 or v == one:
-                continue
-            acc = acc * alg.frac_power(v, ex)
+        for j, v in support:
+            if row[j]:
+                acc = acc * alg.frac_power(v, Fraction(sign * row[j], m))
         values[chi] = acc
     return CharacterVector(group, alg, values)
 

@@ -3,6 +3,8 @@
 Odd order makes the centering canonical: for each character chi and group
 element s there is exactly one integer upsilon in [(1-|s|)/2, (|s|-1)/2]
 with chi(s) = zeta_{|s|}^upsilon, and the pairing is <chi, s> = upsilon/|s|.
+One ``CharacterTable`` per group holds every chi(s) as a centered integer,
+and the pairing, Theta and the character values all read it.
 The determinant map sends a formal Z-combination of characters to their
 product; its kernel is a full-rank sublattice of index |G| whose basis is
 computed by exact integer elimination and canonicalized by row HNF.
@@ -17,7 +19,7 @@ from math import gcd
 from . import faults
 from .cyclotomic import CycContext, CycNumber
 from .errors import InvalidElementError
-from .groups import FiniteAbelianGroup, GroupElement, element_order
+from .groups import FiniteAbelianGroup, GroupElement
 from .intlinalg import det, hnf_rows, kernel_basis
 
 Character = tuple[int, ...]
@@ -36,13 +38,64 @@ def char_pow(group: FiniteAbelianGroup, a: Character, k: int) -> Character:
     return tuple((x * k) % d for x, d in zip(a, group.factors))
 
 
+class CharacterTable:
+    """chi(s) = zeta_m^c for every character chi and element s, m = exp(G),
+    with c the centered integer, |c| < m/2; one table per group.
+
+    Characters and elements are both coordinate tuples in lexicographic
+    order, so one index serves both, and ``rows[i][j]`` is c for character i
+    at element j.  The pairing is <chi, s> = c/m: for n = |s|, (m/n) | c and
+    c n/m is upsilon, centered because |c| < m/2 exactly when |upsilon| < n/2.
+    The table holds the fault-free values; readers of the pairing apply
+    ``pairing_sign``."""
+
+    _cache: dict[tuple[int, ...], "CharacterTable"] = {}
+
+    def __new__(cls, group: FiniteAbelianGroup):
+        self = cls._cache.get(group.factors)
+        if self is not None:
+            return self
+        self = super().__new__(cls)
+        self.group = group
+        self.index = {x: j for j, x in enumerate(group.elements())}
+        m = group.exponent
+        centered = [k if 2 * k < m else k - m for k in range(m)]
+        self.rows = []
+        for chi in characters(group):
+            # k(chi, s) = sum_i chi_i s_i (m/d_i) mod m, last coordinate fastest
+            ks = [0]
+            for img, d in zip(chi, group.factors):
+                step = img * (m // d)
+                ks = [(k + step * c) % m for k in ks for c in range(d)]
+            self.rows.append(tuple(centered[k] for k in ks))
+        cls._cache[group.factors] = self
+        return self
+
+    def position(self, x) -> int:
+        """Index of a character or an element; raises InvalidElementError
+        for anything outside the group."""
+        try:
+            return self.index[x]
+        except (KeyError, TypeError):
+            self.group.validate(x)
+            raise InvalidElementError(f"{x!r} is not in {self.group.spec}")
+
+    def row(self, chi: Character) -> tuple[int, ...]:
+        return self.rows[self.position(chi)]
+
+    def value(self, chi: Character, s: GroupElement) -> int:
+        return self.rows[self.position(chi)][self.position(s)]
+
+
+def pairing_sign() -> int:
+    """-1 while the pairing-sign fault is injected, else 1; every reader of
+    the pairing multiplies the table's numerators by it."""
+    return -1 if faults.is_active(faults.PAIRING_SIGN_FLIP) else 1
+
+
 def char_exponent(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> int:
-    """chi(s) = zeta_m^k for the group exponent m; returns k."""
-    m = group.exponent
-    total = 0
-    for img, c, d in zip(chi, s, group.factors):
-        total += img * c * (m // d)
-    return total % m
+    """chi(s) = zeta_m^k for the group exponent m; returns k in [0, m)."""
+    return CharacterTable(group).value(chi, s) % group.exponent
 
 
 def char_value(group: FiniteAbelianGroup, chi: Character, s: GroupElement, ctx: CycContext) -> CycNumber:
@@ -54,21 +107,12 @@ def char_value(group: FiniteAbelianGroup, chi: Character, s: GroupElement, ctx: 
 
 
 def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> Fraction:
-    """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2].
+    """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2],
+    read from the character table as c/exp(G).
 
     It is a rational number and needs no conductor; ``char_value`` checks the
     conductor wherever a root of unity is built."""
-    group.validate(s)
-    n = element_order(group, s)
-    if n == 1:
-        return Fraction(0)
-    m = group.exponent
-    upsilon = char_exponent(group, chi, s) * n // m  # zeta_m^k = zeta_n^(k n/m), (m/n) | k
-    if upsilon > (n - 1) // 2:
-        upsilon -= n
-    if faults.is_active(faults.PAIRING_SIGN_FLIP):
-        upsilon = -upsilon
-    return Fraction(upsilon, n)
+    return Fraction(pairing_sign() * CharacterTable(group).value(chi, s), group.exponent)
 
 
 def det_map(group: FiniteAbelianGroup, psi: dict) -> Character:
@@ -81,15 +125,13 @@ def det_map(group: FiniteAbelianGroup, psi: dict) -> Character:
 
 
 def stickelberger_map(group: FiniteAbelianGroup, psi: dict) -> dict[GroupElement, Fraction]:
-    """Theta(psi): group-ring element with coefficient <psi, s> at each s."""
-    out: dict[GroupElement, Fraction] = {}
-    for s in group.elements():
-        total = Fraction(0)
-        for chi, mult in psi.items():
-            if mult:
-                total += mult * stickelberger_pairing(group, chi, s)
-        out[s] = total
-    return out
+    """Theta(psi): group-ring element with coefficient <psi, s> at each s,
+    summed as integer numerators over exp(G)."""
+    table = CharacterTable(group)
+    scaled = [[mult * c for c in table.row(chi)] for chi, mult in psi.items() if mult]
+    totals = [sum(col) for col in zip(*scaled)] if scaled else [0] * group.order
+    sign, m = pairing_sign(), group.exponent
+    return {s: Fraction(sign * total, m) for s, total in zip(group.elements(), totals)}
 
 
 def integrality_check(group: FiniteAbelianGroup, psi: dict) -> bool:
@@ -145,10 +187,11 @@ def equivariance_check(group: FiniteAbelianGroup, k: int) -> bool:
     """
     if gcd(k, group.exponent) != 1:
         raise InvalidElementError(f"twist {k} not coprime to exponent {group.exponent}")
+    # both sides are table reads, so the pairing-sign fault negates them alike
+    table = CharacterTable(group)
+    twist = [table.position(group.scale(s, k)) for s in group.elements()]
     for chi in characters(group):
-        for s in group.elements():
-            lhs = stickelberger_pairing(group, char_pow(group, chi, k), s)
-            rhs = stickelberger_pairing(group, chi, group.scale(s, k))
-            if lhs != rhs:
-                return False
+        row = table.row(chi)
+        if table.row(char_pow(group, chi, k)) != tuple(row[j] for j in twist):
+            return False
     return True

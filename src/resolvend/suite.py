@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import faults
 from .cyclotomic import CycAlgebra, CycContext
 from .errors import PreconditionError, ResolvendError
@@ -45,12 +43,13 @@ from .localfield import (
     validate_abelian_filtration,
 )
 from .stickelberger import (
+    CharacterTable,
     DetKernelBasis,
     characters,
     det_map,
     equivariance_check,
     integrality_check,
-    stickelberger_pairing,
+    pairing_sign,
 )
 from .tame import (
     TameHom,
@@ -173,26 +172,21 @@ COUNT_BLOCK = 8192
 def _integrality_matrices(group: FiniteAbelianGroup):
     """The characters, the pairing matrix times the exponent L (characters by
     rows, elements s != 1 by columns), the character matrix and the
-    invariant factors, as int64 arrays."""
+    invariant factors, as int64 arrays.  <chi, s> L is the character
+    table's centered integer, and the identity is its first column."""
+    import numpy as np
+
     chars = list(characters(group))
-    big_l = group.exponent
-    elements = [s for s in group.elements() if s != group.identity]
-    rows = []
-    for chi in chars:
-        row = []
-        for s in elements:
-            scaled = stickelberger_pairing(group, chi, s) * big_l
-            if scaled.denominator != 1:
-                raise PreconditionError("pairing times exponent not integral")
-            row.append(scaled.numerator)
-        rows.append(row)
-    return (chars, np.array(rows, dtype=np.int64),
+    pair_mat = np.array(CharacterTable(group).rows, dtype=np.int64)[:, 1:] * pairing_sign()
+    return (chars, pair_mat,
             np.array([list(chi) for chi in chars], dtype=np.int64),
             np.array(group.factors, dtype=np.int64))
 
 
 def _digit_rows(count: int):
     """The 5^count vectors in [-2, 2]^count; row i has digits (i // 5^j) % 5 - 2."""
+    import numpy as np
+
     powers = 5 ** np.arange(count, dtype=np.int64)
     return (np.arange(5 ** count, dtype=np.int64)[:, None] // powers[None, :]) % 5 - 2
 
@@ -210,6 +204,8 @@ def _exhaustive_verdicts(pair_mat, big_l: int, det_mat, d_vec):
     halves are tabulated once (at most 5^5 rows), and each row's verdict is
     one comparison of a low-half code with a negated high-half code.  One
     block holds the 5^h rows of one high half."""
+    import numpy as np
+
     n = len(pair_mat)
     h = (n + 1) // 2
     lo_rows, hi_rows = _digit_rows(h), _digit_rows(n - h)
@@ -229,6 +225,8 @@ def _exhaustive_verdicts(pair_mat, big_l: int, det_mat, d_vec):
 def _exhaustive_mismatch(pair_mat, big_l: int, det_mat, d_vec):
     """(first mismatch, count) over all of [-2, 2]^n: the mismatch is
     (psi, integral, trivial) for the first row whose verdicts differ, or None."""
+    import numpy as np
+
     n = len(pair_mat)
     for start, integral, trivial in _exhaustive_verdicts(pair_mat, big_l, det_mat, d_vec):
         differ = integral != trivial
@@ -245,6 +243,8 @@ def _sampled_mismatch(rng: random.Random, pair_mat, big_l: int, det_mat, d_vec):
     drawn uniformly from [-2, 2]^n.  The rows are stored as int8 and the
     draw list is dropped before the products, so the temporaries of one
     group are freed before the next group draws."""
+    import numpy as np
+
     n, count = len(pair_mat), 10_000
     flat = rng.choices((-2, -1, 0, 1, 2), k=count * n)
     block = np.array(flat, dtype=np.int8).reshape(count, n)
@@ -263,6 +263,8 @@ def check_01_integrality(cfg: SuiteConfig):
     triviality of the determinant character: exhaustive for |G| <= 9 over
     coefficients in [-2, 2] (meet-in-the-middle, see
     ``_exhaustive_verdicts``), sampled beyond, with a scalar cross-check."""
+    import numpy as np
+
     identity = ("a character combination has integral image coefficients "
                 "exactly when its determinant character is trivial")
     for group in odd_abelian_groups(cfg.max_order):

@@ -40,7 +40,7 @@ from .groupring import (
 )
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .localfield import LocalModel, prime_power_base
-from .stickelberger import DetKernelBasis, characters, stickelberger_pairing
+from .stickelberger import CharacterTable, DetKernelBasis, characters, pairing_sign
 
 # the unramified search tries coefficients in [-SEARCH_BOUND, SEARCH_BOUND]
 # on at most SEARCH_SUPPORT roots of unity
@@ -135,8 +135,11 @@ def resolvent_table(a: Resolvend, s: GroupElement):
     match says whether the resolvent of the generator attached to s equals
     pi^<chi, s>.  Rows come lazily, so a caller can stop at a mismatch."""
     model = a.algebra
-    for chi in characters(a.group):
-        pairing = stickelberger_pairing(a.group, chi, s)
+    table = CharacterTable(a.group)
+    col = table.position(s)
+    sign, m = pairing_sign(), a.group.exponent
+    for chi, row in zip(characters(a.group), table.rows):
+        pairing = Fraction(sign * row[col], m)
         value = resolvent(a, chi)
         yield chi, pairing, value, value == model.pi_power(pairing)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resolvend
-from resolvend import tame
+from resolvend import cli, tame
 from resolvend.cli import main
 from resolvend.cyclotomic import CycContext
 
@@ -233,18 +233,45 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
-def test_console_script_subprocess():
-    # the child imports the package from where this process found it
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports the package from
+    where this process found it."""
     root = str(Path(resolvend.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "resolvend.cli", "different", "--filtration", "5"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["result"]["v_D"] == 4
     assert data["result"]["v_A"] == -2
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is loaded by check 01 only, not on the start-up path of a command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import resolvend.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_internal_error_exits_3_with_an_envelope(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "cmd_different", broken)
+    code = main(["different", "--filtration", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    data = json.loads(captured.out)  # exactly one JSON document
+    assert data == {"command": "different", "params": {"filtration": "5"},
+                    "result": {"error": "internal error: RuntimeError: planted"},
+                    "status": "error"}
 
 
 def test_double_dash_value_exits_2(capsys):

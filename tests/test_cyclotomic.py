@@ -25,6 +25,7 @@ from resolvend.errors import (
     InvalidAutomorphismError,
     NotARootError,
     NotInvertibleError,
+    PreconditionError,
 )
 
 
@@ -206,6 +207,17 @@ def test_cyc_det():
     # row swap flips the sign
     d2 = cyc_det([[z, one], [one, z]])
     assert d2 == z * z - one
+
+
+def test_cyc_det_needs_a_square_matrix():
+    ctx = CycContext(3)
+    wide = [[ctx.zeta_power(i + j) for j in range(9)] for i in range(3)]
+    with pytest.raises(PreconditionError):
+        cyc_det(wide)
+    with pytest.raises(PreconditionError):
+        cyc_det([])
+    with pytest.raises(PreconditionError):
+        cyc_det([[ctx.one(), ctx.one()], [ctx.one()]])
 
 
 def cyc_from_json(data: dict) -> CycNumber:

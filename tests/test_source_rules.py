@@ -40,6 +40,41 @@ def test_float_rule_catches_each_form():
     assert len(_float_uses(ast.parse(code))) == 5
 
 
+def _eager_numpy_imports(tree: ast.AST) -> list[int]:
+    """Lines of ``import numpy`` and ``from numpy import`` that run when the
+    module is imported: every one outside a function body."""
+    found, todo = [], list(ast.iter_child_nodes(tree))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_package_imports_numpy_only_inside_functions():
+    """Only check 01 needs numpy, so importing a module must not load it."""
+    sources = sorted(Path(resolvend.__file__).parent.glob("*.py"))
+    offences = {path.name: _eager_numpy_imports(ast.parse(path.read_text()))
+                for path in sources}
+    assert {name: lines for name, lines in offences.items() if lines} == {}
+
+
+def test_numpy_rule_catches_each_form():
+    code = ("import numpy as np\nfrom numpy import array\nimport os, numpy.linalg\n"
+            "if flag:\n    import numpy\nclass K:\n    from numpy.random import rand\n"
+            "def f():\n    import numpy as np\n    return np\nimport numbers\n")
+    assert _eager_numpy_imports(ast.parse(code)) == [1, 2, 3, 5, 7]
+
+
 def _public_defs(module: str, tree: ast.Module):
     """(dotted path, node, is_method) of each public module-level function
     or class and each public method of a module-level class."""

@@ -12,6 +12,7 @@ from resolvend.cyclotomic import CycContext, discrete_log_in_mu
 from resolvend.errors import InvalidElementError
 from resolvend.groups import FiniteAbelianGroup, element_order
 from resolvend.stickelberger import (
+    CharacterTable,
     DetKernelBasis,
     char_exponent,
     char_inv,
@@ -24,6 +25,7 @@ from resolvend.stickelberger import (
     stickelberger_map,
     stickelberger_pairing,
 )
+from resolvend.suite import _integrality_matrices
 
 
 def test_character_group_arithmetic():
@@ -123,6 +125,97 @@ def test_pairing_matches_dlog_reference():
                         == _pairing_by_dlog(group, chi, s, ctx))
                 pairs += 1
     assert pairs == 5817
+
+
+def _char_exponent_by_loop(group, chi, s):
+    """Reference chi(s) = zeta_m^k, k in [0, m): the per-call coordinate sum."""
+    m = group.exponent
+    total = 0
+    for img, c, d in zip(chi, s, group.factors):
+        total += img * c * (m // d)
+    return total % m
+
+
+def _pairing_by_formula(group, chi, s):
+    """Reference pairing, computed per call: upsilon = k |s| / m, centered."""
+    group.validate(s)
+    n = element_order(group, s)
+    if n == 1:
+        return Fraction(0)
+    m = group.exponent
+    upsilon = _char_exponent_by_loop(group, chi, s) * n // m
+    if upsilon > (n - 1) // 2:
+        upsilon -= n
+    return Fraction(upsilon, n)
+
+
+def test_character_table_matches_per_call_formula():
+    """Every table entry, and every read of it, agrees with the per-call
+    formula on all 5,817 pairs of the odd groups of order <= 27."""
+    pairs = 0
+    for group in _odd_groups(27):
+        table = CharacterTable(group)
+        assert table is CharacterTable(FiniteAbelianGroup(group.factors))
+        m = group.exponent
+        for chi, row in zip(characters(group), table.rows):
+            for s, c in zip(group.elements(), row):
+                assert 2 * abs(c) < m
+                want = _pairing_by_formula(group, chi, s)
+                assert Fraction(c, m) == want == stickelberger_pairing(group, chi, s)
+                assert char_exponent(group, chi, s) == _char_exponent_by_loop(group, chi, s)
+                pairs += 1
+    assert pairs == 5817
+
+
+def test_centered_exponent_identity_on_larger_groups():
+    """c = k mod m with |c| < m/2, and <chi, s> = c/m, beyond order 27."""
+    for spec in ((81,), (3, 27), (9, 9), (5, 25), (3, 3, 9)):
+        group = FiniteAbelianGroup(spec)
+        table = CharacterTable(group)
+        m = group.exponent
+        for chi, row in zip(characters(group), table.rows):
+            for s, c in zip(group.elements(), row):
+                assert 2 * abs(c) < m
+                assert c % m == _char_exponent_by_loop(group, chi, s)
+                assert Fraction(c, m) == _pairing_by_formula(group, chi, s)
+
+
+def test_sign_fault_is_read_from_the_table_never_stored():
+    group = FiniteAbelianGroup((3, 9))
+    table = CharacterTable(group)
+    rows = list(table.rows)
+    psi = {(1, 1): 2, (0, 4): -1}
+
+    def reads():
+        pairings = [stickelberger_pairing(group, chi, s)
+                    for chi in characters(group) for s in group.elements()]
+        return pairings, stickelberger_map(group, psi), _integrality_matrices(group)[1]
+
+    pairings, theta, matrix = reads()
+    assert any(pairings)
+    with faults.inject(faults.PAIRING_SIGN_FLIP):
+        flipped = reads()
+        assert table.rows == rows
+    assert flipped[0] == [-v for v in pairings]
+    assert flipped[1] == {s: -v for s, v in theta.items()}
+    assert (flipped[2] == -matrix).all()
+    after = reads()
+    assert after[:2] == (pairings, theta) and (after[2] == matrix).all()
+    assert CharacterTable(group) is table and table.rows == rows
+
+
+def test_table_reads_reject_what_is_outside_the_group():
+    group = FiniteAbelianGroup((3, 9))
+    ctx = CycContext(9)
+    for bad in ((0, 9), (3, 0), (-1, 0), (1,), (0, 0, 0), [1, 1], ("1", 1), None):
+        with pytest.raises(InvalidElementError):
+            stickelberger_pairing(group, (1, 1), bad)
+        with pytest.raises(InvalidElementError):
+            stickelberger_pairing(group, bad, (1, 1))
+        with pytest.raises(InvalidElementError):
+            char_value(group, (1, 1), bad, ctx)
+    with pytest.raises(InvalidElementError):
+        stickelberger_map(group, {(0, 9): 1})
 
 
 def test_pairing_sign_fault():
