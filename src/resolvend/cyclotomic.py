@@ -5,13 +5,17 @@ One conductor N serves a whole computation session; every root of unity of
 order n | N is the coherent power zeta_N^(N/n).  A CycNumber stores an integer
 coefficient vector over a single positive denominator, so products and
 inverses (by fraction-free elimination) stay in integer arithmetic; Fractions
-appear only at the API boundary.
+appear only at the API boundary.  Every CycNumber is kept in lowest terms
+(den > 0, gcd(den, *num) = 1), so equal values have equal fields; a result
+known to be in lowest terms already (integral sums, products and scalings,
+roots of unity) is built by ``_lowest`` without the gcd pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, neg
 
 from .errors import (
     ConductorError,
@@ -24,12 +28,12 @@ from .errors import (
 from .groups import prime_factors
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+def _poly_mul(a, b) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 
@@ -122,20 +126,20 @@ class CycContext:
 
     def zero(self) -> "CycNumber":
         if self._zero is None:
-            self._zero = CycNumber(self, (0,) * self.phi, 1)
+            self._zero = _lowest(self, (0,) * self.phi, 1)
         return self._zero
 
     def one(self) -> "CycNumber":
         if self._one is None:
-            self._one = CycNumber(self, (1,) + (0,) * (self.phi - 1), 1)
+            self._one = _lowest(self, (1,) + (0,) * (self.phi - 1), 1)
         return self._one
 
     def zeta_power(self, k: int) -> "CycNumber":
-        return CycNumber(self, self.xpow[k % self.n], 1)
+        return _lowest(self, self.xpow[k % self.n], 1)
 
     def from_rational(self, r) -> "CycNumber":
         r = Fraction(r)
-        return CycNumber(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
+        return _lowest(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
 
 
 class CycNumber:
@@ -190,13 +194,15 @@ class CycNumber:
         if o is None:
             return NotImplemented
         a, b = self, o
+        if a.den == 1 and b.den == 1:
+            return _lowest(a.ctx, tuple(map(add, a.num, b.num)), 1)
         num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
-        return CycNumber(self.ctx, num, a.den * b.den)
+        return CycNumber(a.ctx, num, a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.ctx, tuple(-c for c in self.num), self.den)
+        return _lowest(self.ctx, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -211,6 +217,12 @@ class CycNumber:
         return o + (-self)
 
     def _scaled(self, num: int, den: int) -> "CycNumber":
+        """self * num/den for a rational num/den in lowest terms."""
+        if den == 1:
+            if num == 1:
+                return self
+            if self.den == 1:
+                return _lowest(self.ctx, tuple(c * num for c in self.num), 1)
         return CycNumber(self.ctx, tuple(c * num for c in self.num), self.den * den)
 
     def __mul__(self, other):
@@ -223,8 +235,10 @@ class CycNumber:
                 return self._scaled(other.num[0], other.den)
             if not any(self.num[1:]):
                 return other._scaled(self.num[0], self.den)
-            conv = _poly_mul(list(self.num), list(other.num))
-            return CycNumber(self.ctx, self.ctx.reduce(conv), self.den * other.den)
+            num = self.ctx.reduce(_poly_mul(self.num, other.num))
+            if self.den == 1 and other.den == 1:
+                return _lowest(self.ctx, num, 1)
+            return CycNumber(self.ctx, num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
         return NotImplemented
@@ -254,6 +268,20 @@ class CycNumber:
 
     def __repr__(self):
         return f"CycNumber(N={self.ctx.n}, {'/'.join([str(list(self.num)), str(self.den)])})"
+
+
+_new_number = object.__new__
+
+
+def _lowest(ctx: CycContext, num: tuple[int, ...], den: int) -> CycNumber:
+    """The CycNumber num/den for a tuple num and den > 0 already in lowest
+    terms, built without the gcd pass of ``CycNumber()``.  Only this module
+    may call it: a number not in lowest terms breaks ``==`` and ``hash``."""
+    x = _new_number(CycNumber)
+    x.ctx = ctx
+    x.num = num
+    x.den = den
+    return x
 
 
 def root_of_unity(ctx: CycContext, n: int, power: int = 1) -> CycNumber:

@@ -27,7 +27,6 @@ from .stickelberger import (
     CharacterTable,
     DetKernelBasis,
     char_inv,
-    char_value,
     characters,
     pairing_sign,
 )
@@ -101,12 +100,15 @@ def involution(r: Resolvend) -> Resolvend:
 
 
 def resolvent(a: Resolvend, chi) -> object:
-    """(a | chi) = sum_s a(s) chi(s)^{-1}."""
-    alg = a.algebra
+    """(a | chi) = sum_s a(s) chi(s)^{-1}, reading one row of chi^{-1}."""
+    alg, group = a.algebra, a.group
+    table = CharacterTable(group)
+    table.position(chi)  # a character outside the group raises here
+    roots = table.roots(char_inv(group, chi), alg.ctx)
+    position = table.position
     acc = alg.zero()
-    ichi = char_inv(a.group, chi)
     for s, v in a.values.items():
-        acc = acc + v * char_value(a.group, ichi, s, alg.ctx)
+        acc = acc + v * roots[position(s)]
     return acc
 
 
@@ -135,13 +137,16 @@ def from_character_space(v: CharacterVector) -> Resolvend:
     c_u = (1/|G|) sum_chi v(chi) chi(u)^{-1}, stored as a(u^{-1})."""
     alg = v.algebra
     group = v.group
+    table = CharacterTable(group)
+    rows = [(val, table.roots(chi, alg.ctx)) for chi, val in v.values.items()]
     scale = Fraction(1, group.order)
     values = {}
     for u in group.elements():
         s = group.neg(u)
+        j = table.index[s]
         acc = alg.zero()
-        for chi, val in v.values.items():
-            acc = acc + val * char_value(group, chi, s, alg.ctx)
+        for val, roots in rows:
+            acc = acc + val * roots[j]
         values[s] = acc * scale
     return Resolvend(group, alg, values)
 
@@ -164,10 +169,11 @@ def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
     group, alg = a.group, a.algebra
     values = {}
     for s in group.elements():
-        shifted = a.translate(s)  # (s . a)(t) = a(t s)
         acc = alg.zero()
-        for t in group.elements():
-            acc = acc + shifted.value(t) * b.value(t)
+        for t, bt in b.values.items():
+            at_ts = a.values.get(group.add(t, s))  # (s . a)(t) = a(t s)
+            if at_ts is not None:
+                acc = acc + at_ts * bt
         values[s] = acc
     rhs = Resolvend(group, alg, values)
     return lhs == rhs

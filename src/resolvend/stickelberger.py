@@ -4,7 +4,7 @@ Odd order makes the centering canonical: for each character chi and group
 element s there is exactly one integer upsilon in [(1-|s|)/2, (|s|-1)/2]
 with chi(s) = zeta_{|s|}^upsilon, and the pairing is <chi, s> = upsilon/|s|.
 One ``CharacterTable`` per group holds every chi(s) as a centered integer,
-and the pairing, Theta and the character values all read it.
+and the pairing, Theta and the rows of character values all read it.
 The determinant map sends a formal Z-combination of characters to their
 product; its kernel is a full-rank sublattice of index |G| whose basis is
 computed by exact integer elimination and canonicalized by row HNF.
@@ -86,6 +86,15 @@ class CharacterTable:
     def value(self, chi: Character, s: GroupElement) -> int:
         return self.rows[self.position(chi)][self.position(s)]
 
+    def roots(self, chi: Character, ctx: CycContext) -> list[CycNumber]:
+        """chi(s) for every s in ``index`` order, as exact roots of unity at
+        the session conductor, which must hold the order-exp(G) roots."""
+        m = self.group.exponent
+        if ctx.n % m != 0:
+            raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
+        step = ctx.n // m
+        return [ctx.zeta_power(step * c) for c in self.row(chi)]
+
 
 def pairing_sign() -> int:
     """-1 while the pairing-sign fault is injected, else 1; every reader of
@@ -98,20 +107,12 @@ def char_exponent(group: FiniteAbelianGroup, chi: Character, s: GroupElement) ->
     return CharacterTable(group).value(chi, s) % group.exponent
 
 
-def char_value(group: FiniteAbelianGroup, chi: Character, s: GroupElement, ctx: CycContext) -> CycNumber:
-    """chi(s) as an exact root of unity at the session conductor."""
-    m = group.exponent
-    if ctx.n % m != 0:
-        raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
-    return ctx.zeta_power((ctx.n // m) * char_exponent(group, chi, s))
-
-
 def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> Fraction:
     """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2],
     read from the character table as c/exp(G).
 
-    It is a rational number and needs no conductor; ``char_value`` checks the
-    conductor wherever a root of unity is built."""
+    It is a rational number and needs no conductor; ``CharacterTable.roots``
+    checks the conductor wherever roots of unity are built."""
     return Fraction(pairing_sign() * CharacterTable(group).value(chi, s), group.exponent)
 
 

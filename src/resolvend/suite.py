@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import faults
-from .cyclotomic import CycAlgebra, CycContext
+from .cyclotomic import CycAlgebra, CycContext, CycNumber
 from .errors import PreconditionError, ResolvendError
 from .groups import FiniteAbelianGroup
 from .groupring import (
@@ -80,6 +80,9 @@ from .wild import (
 MAX_ORDER = 27
 ALLOWED_P = (3, 5, 7)
 ALLOWED_E = (3, 5, 7, 9)
+
+# share of check 10's random coefficients that get a denominator
+QUARTER = Fraction(1, 4)
 
 # ramified model constants: smallest prime q = 1 (mod e) avoiding |G| issues
 TAME_Q = {3: 7, 5: 11, 7: 29, 9: 19}
@@ -609,9 +612,7 @@ def _random_wild(rng: random.Random, alg: WildAlgebra):
     x = alg.zero()
     for _ in range(3):
         exps = [rng.randint(-2, 2) for _ in range(alg.copies * (alg.p - 1))]
-        coeff = alg.ctx.zero()
-        for k in range(alg.ctx.phi):
-            coeff = coeff + alg.ctx.zeta_power(k) * rng.randint(-2, 2)
+        coeff = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)])
         if not coeff.is_zero():
             x = x + alg.monomial(exps, coeff)
     return x
@@ -709,10 +710,10 @@ def check_09_product(cfg: SuiteConfig):
 
 
 def _random_cyc(rng: random.Random, ctx: CycContext):
-    c = ctx.zero()
-    for k in range(ctx.phi):
-        c = c + ctx.zeta_power(k) * rng.randint(-2, 2)
-    if rng.random() < Fraction(1, 4):
+    """Power-basis coefficients in [-2, 2], divided by 2 or 3 a quarter of
+    the time."""
+    c = CycNumber(ctx, [rng.randint(-2, 2) for _ in range(ctx.phi)])
+    if rng.random() < QUARTER:
         c = c * Fraction(1, rng.choice((2, 3)))
     return c
 

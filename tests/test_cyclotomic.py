@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -277,6 +278,50 @@ def test_scalar_product_matches_reduction(data):
     expected = _product_by_reduction(x, as_cyc)
     for got in (x * scalar, scalar * x, as_cyc * x):
         assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def _sum_by_normalising(x: CycNumber, y: CycNumber) -> CycNumber:
+    """Reference sum over the common denominator, normalised by ``CycNumber()``."""
+    return CycNumber(x.ctx, tuple(a * y.den + b * x.den for a, b in zip(x.num, y.num)),
+                     x.den * y.den)
+
+
+def _scaled_by_normalising(x: CycNumber, r: Fraction) -> CycNumber:
+    """Reference product with a rational, normalised by ``CycNumber()``."""
+    return CycNumber(x.ctx, tuple(c * r.numerator for c in x.num), x.den * r.denominator)
+
+
+def _fields(x: CycNumber):
+    assert type(x.num) is tuple and len(x.num) == x.ctx.phi
+    assert x.den > 0 and gcd(x.den, *x.num) == 1, "not in lowest terms"
+    return x.ctx.n, x.num, x.den
+
+
+@pytest.mark.parametrize("n", (3, 9, 21, 57))
+def test_fast_paths_match_the_normalising_route(n):
+    """Integral sums, scalings and products skip the gcd pass; every result
+    equals the one ``CycNumber()`` normalises, field by field."""
+    ctx = CycContext(n)
+    rng = random.Random(f"fast-paths:{n}")
+    operands = [ctx.zero(), ctx.one(), -ctx.one(), ctx.zeta_power(1),
+                ctx.from_rational(5), ctx.from_rational(Fraction(-3, 4))]
+    for den in (1, 1, 1, 2, 3, 6, -4):
+        operands.append(CycNumber(ctx, [rng.randint(-4, 4) for _ in range(ctx.phi)], den))
+    operands.append(CycNumber(ctx, [2 * rng.randint(-2, 2) for _ in range(ctx.phi)], 4))
+    scalars = (0, 1, -1, 3, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 9))
+    for x in operands:
+        _fields(x)
+        assert _fields(-x) == _fields(_scaled_by_normalising(x, Fraction(-1)))
+        assert x * 1 is x and 1 * x is x and x * ctx.one() is x
+        for r in scalars:
+            want = _fields(_scaled_by_normalising(x, Fraction(r)))
+            as_cyc = ctx.from_rational(r)
+            for got in (x * r, r * x, x * as_cyc, as_cyc * x):
+                assert _fields(got) == want
+        for y in operands:
+            assert _fields(x + y) == _fields(_sum_by_normalising(x, y))
+            assert _fields(x - y) == _fields(_sum_by_normalising(x, -y))
+            assert _fields(x * y) == _fields(_product_by_reduction(x, y))
 
 
 @st.composite

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from resolvend import groupring
 from resolvend.cyclotomic import CycAlgebra, CycContext, CycNumber
-from resolvend.errors import NotGaloisOrbitError, SingularResolvendError
+from resolvend.errors import InvalidElementError, NotGaloisOrbitError, SingularResolvendError
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.groupring import (
+    CharacterVector,
     Resolvend,
     associated_hom,
     delta_resolvend,
@@ -27,7 +29,8 @@ from resolvend.groupring import (
     unit_map,
 )
 from resolvend.localfield import LocalModel
-from resolvend.stickelberger import DetKernelBasis, characters
+from resolvend.stickelberger import DetKernelBasis, char_inv, characters
+from resolvend.suite import odd_abelian_groups
 
 C3 = FiniteAbelianGroup((3,))
 C9 = FiniteAbelianGroup((9,))
@@ -275,3 +278,108 @@ def test_associated_hom():
     assert hom["shift"] == (1,)
     with pytest.raises(NotGaloisOrbitError):
         associated_hom(a, [("double", lambda v: v * 2)])
+
+
+def _char_value(group, chi, s, ctx):
+    """chi(s) = zeta_m^k, k = sum_i chi_i s_i (m/d_i), computed per call: the
+    formula the transforms used before they read one row of roots per
+    character."""
+    m = group.exponent
+    k = sum(img * c * (m // d) for img, c, d in zip(chi, s, group.factors))
+    return ctx.zeta_power((ctx.n // m) * k)
+
+
+def _resolvent_by_pairs(a: Resolvend, chi):
+    acc = a.algebra.zero()
+    ichi = char_inv(a.group, chi)
+    for s, v in a.values.items():
+        acc = acc + v * _char_value(a.group, ichi, s, a.algebra.ctx)
+    return acc
+
+
+def _from_character_space_by_pairs(v: CharacterVector) -> Resolvend:
+    group, alg = v.group, v.algebra
+    values = {}
+    for u in group.elements():
+        s = group.neg(u)
+        acc = alg.zero()
+        for chi, val in v.values.items():
+            acc = acc + val * _char_value(group, chi, s, alg.ctx)
+        values[s] = acc * Fraction(1, group.order)
+    return Resolvend(group, alg, values)
+
+
+def test_row_reads_match_the_per_pair_transforms():
+    """Both transforms, reading one row of roots per character, equal the
+    per-(chi, s) loops on every odd group of order <= 27, over Q(zeta_m)
+    and over a Puiseux model at conductor m = exp(G)."""
+    rng = random.Random("row-reads")
+    groups = odd_abelian_groups(27)
+    assert len(groups) == 17
+    for i, group in enumerate(groups):
+        m = group.exponent
+        model = LocalModel(3, 13, m) if m % 3 == 0 else LocalModel(1, 3, m)
+        for alg in (CycAlgebra(CycContext(m)), model):
+            a = random_map(rng, group, alg, sparse=i % 2 == 1)
+            assert to_character_space(a).values == {chi: _resolvent_by_pairs(a, chi)
+                                                    for chi in characters(group)}
+            v = CharacterVector(group, alg, random_map(rng, group, alg).values)
+            back, want = from_character_space(v), _from_character_space_by_pairs(v)
+            assert back == want
+            assert list(back.values) == list(want.values)
+
+
+def test_transforms_keep_their_error_contract():
+    """A conductor without the order-exp(G) roots and a character outside the
+    group both raise InvalidElementError, as the per-pair reads did."""
+    short = CycAlgebra(CycContext(3))
+    with pytest.raises(InvalidElementError):
+        resolvent(Resolvend(C9, short, {(1,): short.one()}), (1,))
+    with pytest.raises(InvalidElementError):
+        from_character_space(CharacterVector(C9, short, {(1,): short.one()}))
+    alg = CycAlgebra(CycContext(9))
+    a = Resolvend(C9, alg, {(1,): alg.one()})
+    for bad in ((9,), (-1,), (1, 1), (), ("1",), None):
+        with pytest.raises(InvalidElementError):
+            resolvent(a, bad)
+        with pytest.raises(InvalidElementError):
+            from_character_space(CharacterVector(C9, alg, {bad: alg.one()}))
+    with pytest.raises(InvalidElementError):
+        resolvent(a, [1])
+    with pytest.raises(InvalidElementError):
+        resolvent(Resolvend(C9, alg, {(9,): alg.one()}), (1,))
+
+
+def _trace_side_by_translates(a: Resolvend, b: Resolvend) -> Resolvend:
+    """sum_s Tr((s.a) b) s^{-1} through |G| translated copies of a, zeros
+    included: the trace side as it was built before it read a at t s."""
+    group, alg = a.group, a.algebra
+    values = {}
+    for s in group.elements():
+        shifted = a.translate(s)
+        acc = alg.zero()
+        for t in group.elements():
+            acc = acc + shifted.value(t) * b.value(t)
+        values[s] = acc
+    return Resolvend(group, alg, values)
+
+
+def test_trace_check_matches_the_translate_oracle(monkeypatch):
+    """With the product side replaced by a given element, the check passes
+    exactly when that element is the oracle's trace side."""
+    rng = random.Random("trace-oracle")
+    for alg in (small_algebra(), LocalModel(3, 7, 3)):
+        for group in (C3, C9, C33):
+            for trial in range(6):
+                a = random_map(rng, group, alg, sparse=trial % 2 == 1)
+                b = random_map(rng, group, alg, sparse=trial % 3 == 2)
+                assert trace_pairing_identity_check(a, b)
+                want = _trace_side_by_translates(a, b)
+                assert want == a * involution(b)
+                off = Resolvend(group, alg, {**want.values,
+                                             group.identity: want.value(group.identity) + 1})
+                for lhs, verdict in ((want, True), (off, False)):
+                    monkeypatch.setattr(groupring, "resolvend_product_transport",
+                                        lambda x, y, lhs=lhs: lhs)
+                    assert trace_pairing_identity_check(a, b) is verdict
+                monkeypatch.undo()

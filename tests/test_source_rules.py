@@ -75,6 +75,44 @@ def test_numpy_rule_catches_each_form():
     assert _eager_numpy_imports(ast.parse(code)) == [1, 2, 3, 5, 7]
 
 
+def _lowest_terms_uses(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each use of ``cyclotomic._lowest`` outside
+    ``cyclotomic``: a call, any other reference, or an import of the name."""
+    found = []
+    for module, code in sources.items():
+        if module == "cyclotomic":
+            continue
+        for node in ast.walk(ast.parse(code)):
+            if ((isinstance(node, ast.Name) and node.id == "_lowest")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_lowest")
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(alias.name == "_lowest" for alias in node.names))):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_cyclotomic_builds_numbers_without_normalising():
+    """``_lowest`` skips the gcd pass; a number it builds outside lowest terms
+    would break ``==`` and ``hash``, so only the module that proves each
+    call's result is in lowest terms may use it."""
+    sources = {path.stem: path.read_text()
+               for path in Path(resolvend.__file__).parent.glob("*.py")}
+    assert "_lowest(" in sources["cyclotomic"]
+    assert _lowest_terms_uses(sources) == []
+
+
+def test_lowest_terms_rule_catches_each_form():
+    code = ("from .cyclotomic import CycNumber, _lowest\n"
+            "from . import cyclotomic\n"
+            "a = _lowest(ctx, (1, 0), 1)\n"
+            "b = cyclotomic._lowest(ctx, (2, 0), 1)\n"
+            "build = cyclotomic._lowest\n"
+            "c = CycNumber(ctx, (2, 0), 2)\n")
+    inside = "def _lowest(ctx, num, den):\n    return num\nx = _lowest(1, 2, 3)\n"
+    assert _lowest_terms_uses({"m": code, "cyclotomic": inside}) == [
+        "m:1", "m:3", "m:4", "m:5"]
+
+
 def _public_defs(module: str, tree: ast.Module):
     """(dotted path, node, is_method) of each public module-level function
     or class and each public method of a module-level class."""

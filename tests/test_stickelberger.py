@@ -17,7 +17,6 @@ from resolvend.stickelberger import (
     char_exponent,
     char_inv,
     char_pow,
-    char_value,
     characters,
     det_map,
     equivariance_check,
@@ -58,13 +57,36 @@ def test_char_exponent_is_bilinear():
                 == (char_exponent(group, chi, s) + char_exponent(group, chi, t)) % m)
 
 
+def _char_value(group, chi, s, ctx):
+    """Reference chi(s) at the session conductor, computed per call from the
+    coordinate sum: the formula the character transforms used before they
+    read table rows."""
+    m = group.exponent
+    if ctx.n % m != 0:
+        raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
+    return ctx.zeta_power((ctx.n // m) * _char_exponent_by_loop(group, chi, s))
+
+
 def test_char_value_needs_enough_roots():
     group = FiniteAbelianGroup((9,))
-    ctx = CycContext(9)
-    assert char_value(group, (1,), (1,), ctx) == ctx.zeta_power(1)
-    assert char_value(group, (2,), (4,), ctx) == ctx.zeta_power(8)
+    table = CharacterTable(group)
+    for n in (9, 45):
+        ctx = CycContext(n)
+        assert table.roots((1,), ctx)[table.position((1,))] == ctx.zeta_power(n // 9)
+        assert table.roots((2,), ctx)[table.position((4,))] == ctx.zeta_power(8 * n // 9)
     with pytest.raises(InvalidElementError):
-        char_value(group, (1,), (1,), CycContext(3))
+        table.roots((1,), CycContext(3))
+
+
+def test_root_rows_match_the_per_call_formula():
+    """Each row of roots is chi(s) for every s in index order, at the
+    exponent and at a multiple of it."""
+    for group in _odd_groups(27):
+        table = CharacterTable(group)
+        for ctx in (CycContext(group.exponent), CycContext(3 * group.exponent)):
+            for chi in characters(group):
+                assert table.roots(chi, ctx) == [_char_value(group, chi, s, ctx)
+                                                 for s in table.index]
 
 
 def test_pairing_table_on_c3():
@@ -96,7 +118,7 @@ def _pairing_by_dlog(group, chi, s, ctx):
     n = element_order(group, s)
     if n == 1:
         return Fraction(0)
-    upsilon = discrete_log_in_mu(char_value(group, chi, s, ctx), n)
+    upsilon = discrete_log_in_mu(_char_value(group, chi, s, ctx), n)
     if upsilon > (n - 1) // 2:
         upsilon -= n
     return Fraction(upsilon, n)
@@ -213,7 +235,7 @@ def test_table_reads_reject_what_is_outside_the_group():
         with pytest.raises(InvalidElementError):
             stickelberger_pairing(group, bad, (1, 1))
         with pytest.raises(InvalidElementError):
-            char_value(group, (1, 1), bad, ctx)
+            CharacterTable(group).roots(bad, ctx)
     with pytest.raises(InvalidElementError):
         stickelberger_map(group, {(0, 9): 1})
 

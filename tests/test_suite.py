@@ -3,22 +3,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resolvend import faults, tame
-from resolvend.cyclotomic import CycContext
+from resolvend import cyclotomic, faults, groupring, suite, tame
+from resolvend.cyclotomic import CycContext, CycNumber
 from resolvend.errors import PreconditionError
+from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.suite import (
     _exhaustive_mismatch,
     _exhaustive_verdicts,
     _integrality_matrices,
+    _random_cyc,
+    _random_wild,
     odd_abelian_groups,
     run_suite,
 )
+from resolvend.wild import WildAlgebra
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
@@ -174,3 +181,104 @@ def test_default_suite_report_bytes_are_pinned():
     expected = json.loads(DIGESTS.read_text())["suite-cold"]["0"]
     text = json.dumps(run_suite(seed=0).to_json(), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _random_cyc_by_sums(rng: random.Random, ctx: CycContext):
+    """Check 10's coefficient builder as a sum of scaled powers of zeta, the
+    loop the one-constructor builder replaced, kept as an oracle."""
+    c = ctx.zero()
+    for k in range(ctx.phi):
+        c = c + ctx.zeta_power(k) * rng.randint(-2, 2)
+    if rng.random() < Fraction(1, 4):
+        c = c * Fraction(1, rng.choice((2, 3)))
+    return c
+
+
+def _random_wild_by_sums(rng: random.Random, alg: WildAlgebra):
+    """Check 08's element builder with the same summed coefficients."""
+    x = alg.zero()
+    for _ in range(3):
+        exps = [rng.randint(-2, 2) for _ in range(alg.copies * (alg.p - 1))]
+        coeff = alg.ctx.zero()
+        for k in range(alg.ctx.phi):
+            coeff = coeff + alg.ctx.zeta_power(k) * rng.randint(-2, 2)
+        if not coeff.is_zero():
+            x = x + alg.monomial(exps, coeff)
+    return x
+
+
+@pytest.mark.parametrize("build, oracle, algebras", [
+    (_random_cyc, _random_cyc_by_sums, lambda: [CycContext(3), CycContext(21)]),
+    (_random_wild, _random_wild_by_sums, lambda: [WildAlgebra(3), WildAlgebra(5),
+                                                  WildAlgebra(3, copies=2)]),
+], ids=["cyclotomic", "wild"])
+def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
+    """Same values from the same draws in the same order, so the generator
+    ends in the same state."""
+    for i, alg in enumerate(algebras()):
+        fast, slow = random.Random(f"inputs:{i}"), random.Random(f"inputs:{i}")
+        for _ in range(300):
+            assert build(fast, alg) == oracle(slow, alg)
+            assert fast.getstate() == slow.getstate()
+
+
+def test_check_10_builds_every_number_in_lowest_terms(monkeypatch):
+    built, bad = [0], []
+
+    def check(x):
+        built[0] += 1
+        if not (x.den > 0 and gcd(x.den, *x.num) == 1):
+            bad.append(x)
+        return x
+
+    init, lowest = CycNumber.__init__, cyclotomic._lowest
+
+    def checked_init(self, *args):
+        init(self, *args)
+        check(self)
+
+    monkeypatch.setattr(CycNumber, "__init__", checked_init)
+    monkeypatch.setattr(cyclotomic, "_lowest", lambda *args: check(lowest(*args)))
+    assert run_suite(checks=["10"]).ok
+    assert bad == []
+    assert built[0] > 50_000
+
+
+def test_check_10_fails_on_a_product_that_drops_a_cross_term(monkeypatch):
+    """A convolution that loses one term s1 != s2 breaks the identity at the
+    first pair for both algebras."""
+
+    def dropping_product(a1, a2):
+        group, out, dropped = a1.group, {}, False
+        for s1, v1 in a1.values.items():
+            for s2, v2 in a2.values.items():
+                if s1 != s2 and not dropped:
+                    dropped = True
+                    continue
+                s = group.add(s1, s2)
+                out[s] = out[s] + v1 * v2 if s in out else v1 * v2
+        return Resolvend(group, a1.algebra, out)
+
+    monkeypatch.setattr(groupring, "resolvend_product_transport", dropping_product)
+    entries = run_suite(checks=["10"]).entries
+    assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
+        ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 0")]
+
+
+def test_check_10_catches_a_trace_side_shifted_by_sub(monkeypatch):
+    """sum_t a(t s^-1) b(t) in place of sum_t a(t s) b(t): the random pairs
+    are not symmetric under s -> s^-1, so the first one exposes it."""
+
+    def sub_shifted_check(a, b):
+        group, alg = a.group, a.algebra
+        values = {}
+        for s in group.elements():
+            acc = alg.zero()
+            for t, bt in b.values.items():
+                acc = acc + a.value(group.sub(t, s)) * bt
+            values[s] = acc
+        return a * involution(b) == Resolvend(group, alg, values)
+
+    monkeypatch.setattr(suite, "trace_pairing_identity_check", sub_shifted_check)
+    entries = run_suite(checks=["10"]).entries
+    assert [(e.status, e.witness) for e in entries] == [("fail", "pair 0")] * 2
