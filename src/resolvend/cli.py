@@ -64,7 +64,7 @@ MAX_SIZE = 255
 # tame-gen's certificate multiplies e^2 pairs of e-term values: e^4 products
 # in Q(zeta_N) of phi(N)^2 integer operations each.  Capping e^4 phi(N)^2
 # bounds its run time (e = N = 21, 2.8e7, takes about 3 s); the |G|^2
-# character transforms are bounded by MAX_SIZE (|G| = N = 243: about 2 s).
+# character transforms are bounded by MAX_SIZE (|G| = N = 243: about 1.5 s).
 MAX_TAME_WORK = 3 * 10**7
 
 

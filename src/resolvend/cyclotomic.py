@@ -75,7 +75,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CycContext:
-    """Cached data for one conductor: Phi_N and reduced powers of x."""
+    """Cached data for one conductor: Phi_N, reduced powers of x and the
+    inverses computed so far.
+
+    ``inverses`` maps the fields ``(num, den)`` of each non-rational number
+    that ``cyc_inverse`` has inverted to its inverse.  Every CycNumber is in
+    lowest terms, so equal values have equal fields and the key is sound;
+    the table lives on the interned context, so two conductors with the same
+    phi never share an entry.  It has no size cap: it gains at most one entry
+    per elimination performed, each the size of a result the caller holds.
+    """
 
     _cache: dict[int, "CycContext"] = {}
 
@@ -105,6 +114,7 @@ class CycContext:
                     row[i] += lead * top[i]
             rows.append(tuple(row))
         self.xpow = rows
+        self.inverses: dict[tuple[tuple[int, ...], int], CycNumber] = {}
         self._zero = None
         self._one = None
         cls._cache[n] = self
@@ -332,15 +342,27 @@ def cyc_root(x: CycNumber, e: Fraction) -> CycNumber:
 
 
 def cyc_inverse(x: CycNumber) -> CycNumber:
-    """Exact inverse in integer arithmetic: solve num(x) * y = 1 as the
-    phi x phi system whose columns are num(x) * zeta^j, by fraction-free
-    (Bareiss) elimination and exact back-substitution."""
+    """Exact inverse in integer arithmetic.  A rational x inverts directly;
+    any other x is looked up in ``x.ctx.inverses`` and, on a miss, inverted
+    by ``_bareiss_inverse`` and stored there."""
     if x.is_zero():
         raise NotInvertibleError("zero is not invertible")
+    if x.is_rational():
+        return CycNumber(x.ctx, (x.den,) + (0,) * (x.ctx.phi - 1), x.num[0])
+    table = x.ctx.inverses
+    key = (x.num, x.den)
+    inv = table.get(key)
+    if inv is None:
+        inv = table[key] = _bareiss_inverse(x)
+    return inv
+
+
+def _bareiss_inverse(x: CycNumber) -> CycNumber:
+    """Solve num(x) * y = 1 as the phi x phi system whose columns are
+    num(x) * zeta^j, by fraction-free (Bareiss) elimination and exact
+    back-substitution."""
     ctx = x.ctx
     phi = ctx.phi
-    if x.is_rational():
-        return CycNumber(ctx, (x.den,) + (0,) * (phi - 1), x.num[0])
     top = [-c for c in ctx.poly[:-1]]  # zeta^phi in the power basis
     cols = [list(x.num)]
     for _ in range(1, phi):

@@ -25,6 +25,7 @@ They satisfy phi sigma phi^-1 sigma^-1 = sigma^(q-1) exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import CycContext, content_ord, cyc_to_json, galois_apply, root_of_unity
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     TamenessError,
 )
 from .groups import prime_factors
-from .laurent import LaurentAlgebra, LaurentElement
+from .laurent import SCALARS, LaurentAlgebra, LaurentElement, _product, _scaled
 
 INF = float("inf")
 
@@ -139,21 +140,17 @@ class PuiseuxElement(LaurentElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PuiseuxElement(self.algebra, self._merged(o))
+        return self._merged(o)
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return _scaled(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                k = k1 + k2
-                c = c1 * c2
-                terms[k] = terms[k] + c if k in terms else c
-        return PuiseuxElement(self.algebra, terms)
+        return _product(self, o, add)
 
     __rmul__ = __mul__
 

@@ -81,9 +81,6 @@ MAX_ORDER = 27
 ALLOWED_P = (3, 5, 7)
 ALLOWED_E = (3, 5, 7, 9)
 
-# share of check 10's random coefficients that get a denominator
-QUARTER = Fraction(1, 4)
-
 # ramified model constants: smallest prime q = 1 (mod e) avoiding |G| issues
 TAME_Q = {3: 7, 5: 11, 7: 29, 9: 19}
 
@@ -713,7 +710,8 @@ def _random_cyc(rng: random.Random, ctx: CycContext):
     """Power-basis coefficients in [-2, 2], divided by 2 or 3 a quarter of
     the time."""
     c = CycNumber(ctx, [rng.randint(-2, 2) for _ in range(ctx.phi)])
-    if rng.random() < QUARTER:
+    n, d = rng.random().as_integer_ratio()  # the draw is n/d exactly; test n/d < 1/4
+    if 4 * n < d:
         c = c * Fraction(1, rng.choice((2, 3)))
     return c
 

@@ -24,7 +24,7 @@ from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
 from .groupring import Resolvend, identity_resolvend, involution, resolvent, transpose_lift
 from .groups import FiniteAbelianGroup, GroupElement, element_order, prime_factors
-from .laurent import LaurentAlgebra, LaurentElement
+from .laurent import SCALARS, LaurentAlgebra, LaurentElement, _product, _scaled
 from .stickelberger import char_exponent, char_inv, characters
 
 INF = float("inf")
@@ -47,6 +47,10 @@ def omega_exponent(p: int, j: int) -> int:
     return centered(p, pow(j, -1, p))
 
 
+def _key_sum(e1: tuple, e2: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
 class WildElement(LaurentElement):
     """Finite Laurent combination of monomials in the y-variables."""
 
@@ -67,21 +71,17 @@ class WildElement(LaurentElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return WildElement(self.algebra, self._merged(o))
+        return self._merged(o)
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return _scaled(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                terms[e] = terms[e] + c if e in terms else c
-        return WildElement(self.algebra, terms)
+        return _product(self, o, _key_sum)
 
     __rmul__ = __mul__
 

@@ -10,6 +10,7 @@ from resolvend.cyclotomic import (
     CycAlgebra,
     CycContext,
     CycNumber,
+    _bareiss_inverse,
     _poly_mul,
     content_ord,
     cyc_det,
@@ -185,6 +186,52 @@ def test_inverse_matches_euclid(x):
     inv = cyc_inverse(x)
     assert inv == _euclid_inverse(x)
     assert x * inv == x.ctx.one()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 21, 57])
+def test_inverse_table_matches_a_fresh_elimination(n):
+    """Each lookup, hit or miss, equals an elimination that bypasses the
+    table; a repeated value, even as a new object, gets the stored number."""
+    ctx = CycContext(n)
+    rng = random.Random(f"inverse-table:{n}")
+    pool: list[CycNumber] = []
+    while len(pool) < 5:
+        x = CycNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.phi)],
+                      rng.choice((1, 2, 6, -3)))
+        if not x.is_rational():
+            pool.append(x)
+    pool.append(pool[0] * Fraction(1, 7))  # same num, another den
+    assert pool[-1].num == pool[0].num and pool[-1].den != pool[0].den
+    assert any(x.den > 1 for x in pool) and any(min(x.num) < 0 for x in pool)
+    for x in pool + [rng.choice(pool) for _ in range(15)]:
+        x = CycNumber(ctx, x.num, x.den)
+        inv = cyc_inverse(x)
+        assert inv == _bareiss_inverse(x)
+        assert x * inv == ctx.one()
+        assert ctx.inverses[(x.num, x.den)] is inv
+        assert cyc_inverse(x) is inv
+
+
+def test_inverse_tables_are_per_conductor():
+    """Q(zeta_7) and Q(zeta_9) both have phi = 6: one coefficient tuple names
+    a different number in each, so each gets its own inverse."""
+    num = (1, 2, 0, -1, 0, 3)
+    a, b = CycNumber(CycContext(7), num, 2), CycNumber(CycContext(9), num, 2)
+    inv_a, inv_b = cyc_inverse(a), cyc_inverse(b)
+    assert inv_a == _euclid_inverse(a) and inv_a.ctx.n == 7
+    assert inv_b == _euclid_inverse(b) and inv_b.ctx.n == 9
+    assert inv_a.num != inv_b.num
+    assert cyc_inverse(a) is inv_a and cyc_inverse(b) is inv_b
+    assert CycContext(7).inverses is not CycContext(9).inverses
+
+
+def test_zero_never_enters_the_inverse_table():
+    ctx = CycContext(57)
+    before = dict(ctx.inverses)
+    for _ in range(3):
+        with pytest.raises(NotInvertibleError):
+            cyc_inverse(ctx.zero())
+    assert ctx.inverses == before
 
 
 def test_content_ord():

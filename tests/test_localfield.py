@@ -444,3 +444,65 @@ def test_val_is_only_a_lower_bound():
     assert x * y == model.from_rational(7)
     assert model.val(x) == model.val(y) == 0
     assert model.val(x * y) == 3 > model.val(x) + model.val(y)
+
+
+# ---------------------------------------------------------------------------
+# scalar products, sums and one-term products against the reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs(count=1), st.data())
+def test_scalar_products_match_the_coerced_reference(data, draws):
+    """x * c for each scalar kind equals the reference product with c as a
+    one-term element, on both sides; a zero scalar leaves no terms."""
+    model, ((x, rx),) = data
+    c = draws.draw(coefficients(model))
+    for s in (c, model.ctx.zero(), model.ctx.from_rational(Fraction(-2, 7)),
+              0, 3, -1, Fraction(0), Fraction(2, 21)):
+        cyc = s if isinstance(s, CycNumber) else model.ctx.from_rational(s)
+        expected = rx * RefPuiseux(model, {0: cyc})
+        assert_same(x * s, expected)
+        assert_same(s * x, expected)
+    assert (x * 0).terms == {} and (x * model.ctx.zero()).terms == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs())
+def test_sums_drop_only_cancelled_keys(data):
+    model, ((x, rx), (y, ry)) = data
+    assert (x + (-x)).terms == {}
+    assert (x - x) == model.zero()
+    assert_same((x + y) + (-y), (rx + ry) + RefPuiseux(model, {
+        r: -c for r, c in ry.terms.items()}))
+    assert_same(-x, RefPuiseux(model, {r: -c for r, c in rx.terms.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs(count=1, max_terms=4), st.integers(-6, 6), st.data())
+def test_one_term_products_match_the_reference(data, k, draws):
+    model, ((x, rx),) = data
+    r, c = Fraction(k, model.e), draws.draw(coefficients(model))
+    mono, ref = model.monomial(r, c), RefPuiseux(model, {r: c})
+    assert_same(mono * x, ref * rx)
+    assert_same(x * mono, rx * ref)
+
+
+def test_general_products_drop_cancelled_cross_terms():
+    model = LocalModel(3, 7, 9)
+    t = model.pi_power(Fraction(1, 3))
+    product = (t + 1) * (t - 1)
+    assert product.terms == {2: model.ctx.one(), 0: -model.ctx.one()}
+
+
+def test_scalar_products_keep_their_errors():
+    model = LocalModel(3, 7, 9)
+    foreign = CycContext(5).one()
+    for x in (model.zero(), model.pi_power(Fraction(1, 3)) + 1):
+        with pytest.raises(ConductorError):
+            x * foreign
+        with pytest.raises(ConductorError):
+            foreign * x
+    with pytest.raises(PreconditionError, match="mixed local models"):
+        model.one() * LocalModel(3, 7, 57).pi_power(1)
+    with pytest.raises(TypeError):
+        model.one() * 0.5

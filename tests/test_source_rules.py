@@ -75,18 +75,18 @@ def test_numpy_rule_catches_each_form():
     assert _eager_numpy_imports(ast.parse(code)) == [1, 2, 3, 5, 7]
 
 
-def _lowest_terms_uses(sources: dict[str, str]) -> list[str]:
-    """``module:line`` of each use of ``cyclotomic._lowest`` outside
-    ``cyclotomic``: a call, any other reference, or an import of the name."""
+def _name_uses(sources: dict[str, str], name: str, allowed: set[str]) -> list[str]:
+    """``module:line`` of each use of ``name`` outside the modules in
+    ``allowed``: a call, any other reference, or an import of the name."""
     found = []
     for module, code in sources.items():
-        if module == "cyclotomic":
+        if module in allowed:
             continue
         for node in ast.walk(ast.parse(code)):
-            if ((isinstance(node, ast.Name) and node.id == "_lowest")
-                    or (isinstance(node, ast.Attribute) and node.attr == "_lowest")
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
                     or (isinstance(node, ast.ImportFrom)
-                        and any(alias.name == "_lowest" for alias in node.names))):
+                        and any(alias.name == name for alias in node.names))):
                 found.append(f"{module}:{node.lineno}")
     return sorted(found)
 
@@ -98,7 +98,7 @@ def test_only_cyclotomic_builds_numbers_without_normalising():
     sources = {path.stem: path.read_text()
                for path in Path(resolvend.__file__).parent.glob("*.py")}
     assert "_lowest(" in sources["cyclotomic"]
-    assert _lowest_terms_uses(sources) == []
+    assert _name_uses(sources, "_lowest", {"cyclotomic"}) == []
 
 
 def test_lowest_terms_rule_catches_each_form():
@@ -109,7 +109,31 @@ def test_lowest_terms_rule_catches_each_form():
             "build = cyclotomic._lowest\n"
             "c = CycNumber(ctx, (2, 0), 2)\n")
     inside = "def _lowest(ctx, num, den):\n    return num\nx = _lowest(1, 2, 3)\n"
-    assert _lowest_terms_uses({"m": code, "cyclotomic": inside}) == [
+    assert _name_uses({"m": code, "cyclotomic": inside}, "_lowest", {"cyclotomic"}) == [
+        "m:1", "m:3", "m:4", "m:5"]
+
+
+def test_only_the_laurent_core_builds_elements_without_filtering():
+    """``laurent._trusted`` skips the zero filter and the wild arity check;
+    an element it builds with a zero coefficient or a foreign key would
+    break ``==`` and ``is_zero``, so only the modules that prove each call's
+    terms nonzero and inside the algebra may use it."""
+    sources = {path.stem: path.read_text()
+               for path in Path(resolvend.__file__).parent.glob("*.py")}
+    assert "_trusted(" in sources["laurent"]
+    assert _name_uses(sources, "_trusted", {"laurent", "localfield", "wild"}) == []
+
+
+def test_trusted_rule_catches_each_form():
+    code = ("from .laurent import LaurentElement, _trusted\n"
+            "from . import laurent\n"
+            "a = _trusted(alg, {0: one})\n"
+            "b = laurent._trusted(alg, {})\n"
+            "build = laurent._trusted\n"
+            "c = alg.element(alg, {0: one})\n")
+    inside = "x = _trusted(alg, {})\n"
+    assert _name_uses({"m": code, "localfield": inside, "wild": inside},
+                      "_trusted", {"laurent", "localfield", "wild"}) == [
         "m:1", "m:3", "m:4", "m:5"]
 
 

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, nextafter
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +222,31 @@ def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
             assert fast.getstate() == slow.getstate()
 
 
+class _Draws:
+    """A stand-in generator that replays fixed ``random()`` values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randint(self, a, b):
+        return 1
+
+    def random(self):
+        return self.values.pop(0)
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_quarter_test_decides_each_draw_exactly():
+    """A denominator exactly when the draw is below 1/4, as the Fraction
+    comparison decides; the float next to 1/4 on either side included."""
+    ctx = CycContext(3)
+    below, above = nextafter(0.25, 0), nextafter(0.25, 1)
+    for draw in (0.0, below, 0.25, above, 0.5, nextafter(1.0, 0)):
+        assert (_random_cyc(_Draws([draw]), ctx).den == 2) == (draw < Fraction(1, 4))
+
+
 def test_check_10_builds_every_number_in_lowest_terms(monkeypatch):
     built, bad = [0], []
 
@@ -242,6 +267,19 @@ def test_check_10_builds_every_number_in_lowest_terms(monkeypatch):
     assert run_suite(checks=["10"]).ok
     assert bad == []
     assert built[0] > 50_000
+
+
+def test_checks_05_and_06_read_inverses_through_the_table(monkeypatch):
+    """A wrong inverse planted in the conductor-57 table, one that leaves
+    the integers at 7, fails both checks: neither inverts around it."""
+    ctx = CycContext(57)
+    assert run_suite(checks=["05", "06"]).ok
+    assert ctx.inverses
+    for key, inv in list(ctx.inverses.items()):
+        monkeypatch.setitem(ctx.inverses, key, inv * Fraction(1, 7))
+    report = run_suite(checks=["05", "06"])
+    assert {e.check_id for e in report.entries if not e.ok} == {
+        "05-decompose-roundtrip", "06-transport-closure"}
 
 
 def test_check_10_fails_on_a_product_that_drops_a_cross_term(monkeypatch):

@@ -315,3 +315,70 @@ def test_elementary_products():
         elementary_product_check(3, 0)
     with pytest.raises(PreconditionError):
         elementary_product_check(3, 4)
+
+
+class RefWild:
+    """Reference wild element: a filtered dict of exponent tuples, products
+    term by term and scalars as one-term elements; kept as a test oracle."""
+
+    def __init__(self, alg, terms):
+        self.alg = alg
+        self.terms = {tuple(k): c for k, c in terms.items() if not c.is_zero()}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms[k] + c if k in terms else c
+        return RefWild(self.alg, terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefWild):
+            cyc = other if isinstance(other, CycNumber) else self.alg.ctx.from_rational(other)
+            other = RefWild(self.alg, {self.alg.unit_key: cyc})
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k, c = tuple(a + b for a, b in zip(k1, k2)), c1 * c2
+                terms[k] = terms[k] + c if k in terms else c
+        return RefWild(self.alg, terms)
+
+
+def _random_pair(rng, alg, count):
+    real, ref = alg.zero(), RefWild(alg, {})
+    for _ in range(count):
+        exps = tuple(rng.randint(-1, 1) for _ in range(alg.nvars))
+        c = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)],
+                      rng.choice((1, 3)))
+        real, ref = real + alg.monomial(exps, c), ref + RefWild(alg, {exps: c})
+    return real, ref
+
+
+@pytest.mark.parametrize("p, copies", [(3, 1), (3, 2), (5, 1)])
+def test_laurent_paths_match_the_wild_reference(p, copies):
+    """Scalar products of each kind, one-term and general products, and sums
+    whose keys cancel, all against the reference."""
+    alg = WildAlgebra(p, copies)
+    rng = random.Random(f"wild-ref:{p}:{copies}")
+    for _ in range(25):
+        (x, rx), (y, ry) = _random_pair(rng, alg, rng.randint(0, 4)), _random_pair(rng, alg, 1)
+        c = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)])
+        for s in (c, alg.ctx.zeta_power(1), alg.ctx.zero(), 0, -3, Fraction(0), Fraction(5, 3)):
+            assert (x * s).terms == (rx * s).terms
+            assert (s * x).terms == (rx * s).terms
+        assert (x * y).terms == (rx * ry).terms
+        assert (y * x).terms == (ry * rx).terms
+        assert (x * x).terms == (rx * rx).terms
+        assert (x + (-x)).terms == {}
+        neg_y = RefWild(alg, {k: -c for k, c in ry.terms.items()})
+        assert ((x + y) + (-y)).terms == ((rx + ry) + neg_y).terms
+
+
+def test_wild_products_keep_their_errors():
+    alg = WildAlgebra(3)
+    for x in (alg.zero(), alg.y(1) + alg.y(2)):
+        with pytest.raises(ConductorError):
+            x * CycContext(5).one()
+    with pytest.raises(PreconditionError, match="wrong arity"):
+        alg.y(1) * alg.monomial((1, 0, 2), alg.ctx.one())
+    with pytest.raises(PreconditionError, match="wrong arity"):
+        alg.element(alg, {(1,): alg.ctx.one()})
