@@ -147,6 +147,14 @@ def test_suite_minimal(capsys):
     assert data["result"]["counts"]["fail"] == 0
 
 
+def test_suite_rejects_an_empty_check_prefix(capsys):
+    # "07," ends in an empty prefix, which would otherwise select every check
+    code, out = run_cli(capsys, "suite", "--checks", "07,")
+    data = json.loads(out)
+    assert code == 2
+    assert data["status"] == "error"
+
+
 def test_suite_mutation_exit_code(capsys):
     code, out = run_cli(capsys, "suite", "--checks", "04", "--e", "3",
                         "--mutate", "pairing-sign-flip")
@@ -251,11 +259,16 @@ def test_console_script_subprocess():
     assert data["result"]["v_A"] == -2
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy is loaded by check 01 only, not on the start-up path of a command
-    proc = subprocess.run(
-        [sys.executable, "-c", "import resolvend.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, text=True, env=_child_env())
+def test_check_01_leaves_numpy_unloaded():
+    # check 01 runs both its exhaustive and its sampled mode at the default
+    # max order, in plain integers
+    code = ("import sys\nfrom resolvend.suite import run_suite\n"
+            "report = run_suite(checks=['01'])\n"
+            "assert report.ok and {e.params['mode'] for e in report.entries} == "
+            "{'exhaustive', 'sampled'}\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -40,39 +40,42 @@ def test_float_rule_catches_each_form():
     assert len(_float_uses(ast.parse(code))) == 5
 
 
-def _eager_numpy_imports(tree: ast.AST) -> list[int]:
-    """Lines of ``import numpy`` and ``from numpy import`` that run when the
-    module is imported: every one outside a function body."""
-    found, todo = [], list(ast.iter_child_nodes(tree))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+def _numpy_imports(tree: ast.AST) -> list[int]:
+    """Lines that import numpy or a numpy submodule in any form: ``import``
+    and ``from ... import`` statements anywhere, function bodies included,
+    and ``__import__`` or ``importlib.import_module`` calls on a literal name."""
+    found = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [node.module or ""]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and ast.unparse(node.func) in ("__import__", "import_module",
+                                             "importlib.import_module")):
+            names = [str(node.args[0].value)]
         else:
             names = []
         if any(name == "numpy" or name.startswith("numpy.") for name in names):
             found.append(node.lineno)
-        todo.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
-def test_package_imports_numpy_only_inside_functions():
-    """Only check 01 needs numpy, so importing a module must not load it."""
+def test_package_never_imports_numpy():
+    """The package computes in Python integers and needs no numpy at all."""
     sources = sorted(Path(resolvend.__file__).parent.glob("*.py"))
-    offences = {path.name: _eager_numpy_imports(ast.parse(path.read_text()))
-                for path in sources}
+    offences = {path.name: _numpy_imports(ast.parse(path.read_text())) for path in sources}
     assert {name: lines for name, lines in offences.items() if lines} == {}
 
 
 def test_numpy_rule_catches_each_form():
     code = ("import numpy as np\nfrom numpy import array\nimport os, numpy.linalg\n"
             "if flag:\n    import numpy\nclass K:\n    from numpy.random import rand\n"
-            "def f():\n    import numpy as np\n    return np\nimport numbers\n")
-    assert _eager_numpy_imports(ast.parse(code)) == [1, 2, 3, 5, 7]
+            "def f():\n    import numpy as np\n    return np\nimport numbers\n"
+            "m = __import__('numpy')\nn = importlib.import_module('numpy.linalg')\n"
+            "o = import_module('numbers')\nfrom . import numpyish\n")
+    assert _numpy_imports(ast.parse(code)) == [1, 2, 3, 5, 7, 9, 12, 13]
 
 
 def _name_uses(sources: dict[str, str], name: str, allowed: set[str]) -> list[str]:

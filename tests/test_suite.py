@@ -16,12 +16,15 @@ from resolvend.cyclotomic import CycContext, CycNumber
 from resolvend.errors import PreconditionError
 from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
+from resolvend.localfield import LocalModel
+from resolvend.stickelberger import CharacterTable, characters, pairing_sign
 from resolvend.suite import (
     _exhaustive_mismatch,
     _exhaustive_verdicts,
-    _integrality_matrices,
+    _integrality_columns,
     _random_cyc,
     _random_wild,
+    _sampled_mismatch,
     odd_abelian_groups,
     run_suite,
 )
@@ -57,6 +60,10 @@ def test_checks_filter():
     assert all(e.check_id.startswith("07") for e in report.entries)
     with pytest.raises(PreconditionError):
         run_suite(checks=["99-no-such-check"])
+    # "" is a prefix of every check id, so it would select all of them
+    for checks in (["07", ""], [""]):
+        with pytest.raises(PreconditionError):
+            run_suite(checks=checks)
 
 
 def test_parameter_validation():
@@ -90,6 +97,18 @@ def test_mutation_breaks_targeted_check():
         run_suite(mutate="no-such-fault", checks=["07"])
 
 
+def test_check_04_fails_when_valuations_are_overstated(monkeypatch):
+    """val one too high on every nonzero element still passes every
+    certificate floor; the certificate entry also needs alpha pi^(-1/e) to
+    read below the floor, and that fails at each e."""
+    val = LocalModel.val
+    monkeypatch.setattr(LocalModel, "val", lambda self, x: val(self, x) + 1 if x.terms else val(self, x))
+    report = run_suite(checks=["04"])
+    failed = [(e.params["e"], e.params["aspect"], e.witness) for e in report.entries if not e.ok]
+    assert failed == [(e, "certificate", f"v(alpha pi^(-1/e)) = {(1 - e) // 2} >= {(1 - e) // 2}")
+                      for e in (3, 5, 7, 9)]
+
+
 def test_check_04_rejects_a_non_unit_determinant(monkeypatch):
     # 3 + zeta_3 has content order 0 at 7 but norm 7, so it is not a unit
     fake = CycContext(3).zeta_power(1) + 3
@@ -114,6 +133,17 @@ def test_odd_abelian_groups_enumeration():
     small = list(odd_abelian_groups(9))
     assert {g.spec for g in small} == {"3", "5", "7", "9", "3,3"}
     assert FiniteAbelianGroup((3, 9)) in list(odd_abelian_groups(27))
+
+
+# ---- check 01: the int64 numpy route it used before, kept as the oracle
+
+
+def _numpy_matrices(group):
+    """The pairing matrix times L = exp(G) (characters by rows, elements
+    s != 1 by columns), the character matrix and the invariant factors."""
+    pair_mat = np.array(CharacterTable(group).rows, dtype=np.int64)[:, 1:] * pairing_sign()
+    return (pair_mat, np.array([list(chi) for chi in characters(group)], dtype=np.int64),
+            np.array(group.factors, dtype=np.int64))
 
 
 def _matmul_verdicts(pair_mat, big_l, det_mat, d_vec):
@@ -142,39 +172,85 @@ def _matmul_verdicts(pair_mat, big_l, det_mat, d_vec):
     return np.concatenate(integral_parts), np.concatenate(trivial_parts), mismatch, checked
 
 
-def _meet_in_the_middle(pair_mat, big_l, det_mat, d_vec):
-    blocks = list(_exhaustive_verdicts(pair_mat, big_l, det_mat, d_vec))
-    assert [start for start, _, _ in blocks] == [j * len(blocks[0][1]) for j in range(len(blocks))]
-    assert all(len(b[1]) <= 5 ** 5 for b in blocks)
-    return (np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks]),
-            *_exhaustive_mismatch(pair_mat, big_l, det_mat, d_vec))
+def _numpy_sampled(rng, pair_mat, big_l, det_mat, d_vec):
+    """Reference sampled sweep: the same 10,000 draws as int8 rows through
+    the matrix products; (first mismatch or None, count, 8 sample rows)."""
+    n, count = len(pair_mat), 10_000
+    block = np.array(rng.choices((-2, -1, 0, 1, 2), k=count * n), dtype=np.int8).reshape(count, n)
+    integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
+    trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
+    mismatch = None
+    if not np.array_equal(integral, trivial):
+        k = int(np.nonzero(integral != trivial)[0][0])
+        mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
+    return mismatch, count, [block[rng.randrange(count)].tolist() for _ in range(8)]
+
+
+def _bits(flags) -> int:
+    """A boolean array as an int whose bit k is flags[k]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _planted(group):
+    """(name, pair_mat, pair_cols) for the clean pairing and two planted
+    faults, each made alike in the matrix and in the integer columns: one
+    entry off by one, and +1 and -1 in the two top characters' rows, which
+    stay invisible until their digits differ."""
+    pair_mat, _, _ = _numpy_matrices(group)
+    _, pair_cols, _ = _integrality_columns(group)
+    n, big_l = group.order, group.exponent
+    out = [("clean", pair_mat, pair_cols)]
+    for name, shifts in (("one-entry", [(n // 2, n // 3, 1)]),
+                         ("top-pair", [(n - 1, 0, 1), (n - 2, 0, -1)])):
+        mat, cols = pair_mat.copy(), [list(col) for col in pair_cols]
+        for chi, s, step in shifts:
+            mat[chi, s] += step
+            cols[s][chi] = (cols[s][chi] + step) % big_l
+        out.append((name, mat, cols))
+    return out
 
 
 @pytest.mark.parametrize("group", odd_abelian_groups(9), ids=lambda g: g.spec)
 def test_meet_in_the_middle_matches_matmul_enumeration(group):
-    _, pair_mat, det_mat, d_vec = _integrality_matrices(group)
-    big_l = group.exponent
-    ref = _matmul_verdicts(pair_mat, big_l, det_mat, d_vec)
-    fast = _meet_in_the_middle(pair_mat, big_l, det_mat, d_vec)
-    assert np.array_equal(fast[0], ref[0])
-    assert np.array_equal(fast[1], ref[1])
-    assert fast[2:] == ref[2:] == (None, 5 ** group.order)
-    # planted faults: one pairing entry off by one breaks the first row;
-    # +1 and -1 in the two top characters' rows stay invisible until their
-    # digits differ (row 78,135, count 73,728 at order 9)
-    n = group.order
-    one_entry = pair_mat.copy()
-    one_entry[n // 2, n // 3] += 1
-    top_pair = pair_mat.copy()
-    top_pair[n - 1, 0] += 1
-    top_pair[n - 2, 0] -= 1
-    for planted in (one_entry, top_pair):
-        ref = _matmul_verdicts(planted, big_l, det_mat, d_vec)
-        fast = _meet_in_the_middle(planted, big_l, det_mat, d_vec)
-        assert np.array_equal(fast[0], ref[0])
-        assert np.array_equal(fast[1], ref[1])
-        assert fast[2:] == ref[2:]
-    assert _exhaustive_mismatch(one_entry, big_l, det_mat, d_vec)[0] is not None
+    """Every verdict, the first mismatch and the count equal the reference,
+    clean and planted; the planted single entry is caught at every order,
+    and at order 9 the planted pair shows first at row 78,135, count 73,728."""
+    _, det_mat, d_vec = _numpy_matrices(group)
+    _, _, det_cols = _integrality_columns(group)
+    big_l, found = group.exponent, {}
+    for name, pair_mat, pair_cols in _planted(group):
+        ref_integral, ref_trivial, *ref = _matmul_verdicts(pair_mat, big_l, det_mat, d_vec)
+        blocks = list(_exhaustive_verdicts(pair_cols, det_cols, big_l))
+        size = 5 ** ((group.order + 1) // 2)
+        assert [start for start, _, _ in blocks] == list(range(0, 5 ** group.order, size))
+        for start, integral, trivial in blocks:
+            assert integral == _bits(ref_integral[start:start + size])
+            assert trivial == _bits(ref_trivial[start:start + size])
+        found[name] = _exhaustive_mismatch(pair_cols, det_cols, big_l)
+        assert list(found[name]) == ref
+    assert found["clean"] == (None, 5 ** group.order)
+    assert found["one-entry"][0] is not None
+    if group.order == 9:
+        assert found["top-pair"][1] == 73_728
+
+
+SAMPLED_GROUPS = [FiniteAbelianGroup(spec) for spec in ((11,), (5, 5), (3, 9), (3, 3, 3))]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("group", SAMPLED_GROUPS, ids=lambda g: g.spec)
+def test_sampled_sweep_matches_the_numpy_reference(group, seed):
+    """Same draws, same first mismatch, count and 8 sample rows, and the
+    generator ends in the same state, clean and with one planted entry."""
+    _, det_mat, d_vec = _numpy_matrices(group)
+    _, _, det_cols = _integrality_columns(group)
+    for name, pair_mat, pair_cols in _planted(group)[:2]:
+        fast = random.Random(f"{seed}:integrality:{group.spec}")
+        slow = random.Random(f"{seed}:integrality:{group.spec}")
+        got = _sampled_mismatch(fast, pair_cols, det_cols, group.exponent)
+        assert got == _numpy_sampled(slow, pair_mat, group.exponent, det_mat, d_vec)
+        assert fast.getstate() == slow.getstate()
+        assert (got[0] is None) == (name == "clean")
 
 
 def test_default_suite_report_bytes_are_pinned():
