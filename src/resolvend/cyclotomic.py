@@ -8,7 +8,7 @@ inverses (by fraction-free elimination) stay in integer arithmetic; Fractions
 appear only at the API boundary.  Every CycNumber is kept in lowest terms
 (den > 0, gcd(den, *num) = 1), so equal values have equal fields; a result
 known to be in lowest terms already (integral sums, products and scalings,
-roots of unity) is built by ``_lowest`` without the gcd pass.
+Galois images, roots of unity) is built by ``_lowest`` without the gcd pass.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from .groups import prime_factors
 
 
 def _poly_mul(a, b) -> list[int]:
+    """Product of two coefficient vectors, over the nonzero terms only."""
     out = [0] * (len(a) + len(b) - 1)
+    nz = [j for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
+            for j in nz:
+                out[i + j] += x * b[j]
     return out
 
 
@@ -78,6 +80,14 @@ class CycContext:
     """Cached data for one conductor: Phi_N, reduced powers of x and the
     inverses computed so far.
 
+    ``xpow_terms[k]`` lists the nonzero entries of x^k mod Phi_N as
+    ``(i, c)`` pairs, for 0 <= k < max(N, 2 phi - 1): every power that a
+    product of two reduced vectors or a Galois image reaches.  Reduction and
+    the Galois action read only these, so their cost follows the nonzeros
+    of each row (about 4 of 36 for the rows x^k, k >= phi, of Phi_57)
+    rather than phi.  ``xpow[k]`` is the dense vector of zeta^k for
+    0 <= k < N, which roots of unity and discrete logarithms read.
+
     ``inverses`` maps the fields ``(num, den)`` of each non-rational number
     that ``cyc_inverse`` has inverted to its inverse.  Every CycNumber is in
     lowest terms, so equal values have equal fields and the key is sound;
@@ -113,7 +123,8 @@ class CycContext:
                 for i in range(self.phi):
                     row[i] += lead * top[i]
             rows.append(tuple(row))
-        self.xpow = rows
+        self.xpow_terms = [tuple((i, c) for i, c in enumerate(row) if c) for row in rows]
+        self.xpow = rows[:n]
         self.inverses: dict[tuple[tuple[int, ...], int], CycNumber] = {}
         self._zero = None
         self._one = None
@@ -124,14 +135,16 @@ class CycContext:
         return f"CycContext({self.n})"
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector of any degree mod Phi_N."""
-        out = list(vec[: self.phi]) + [0] * max(0, self.phi - len(vec))
-        for k in range(self.phi, len(vec)):
+        """Reduce an integer coefficient vector of degree below
+        max(N, 2 phi - 1) mod Phi_N."""
+        phi = self.phi
+        out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
+        terms = self.xpow_terms
+        for k in range(phi, len(vec)):
             c = vec[k]
             if c:
-                row = self.xpow[k]
-                for i in range(self.phi):
-                    out[i] += c * row[i]
+                for i, r in terms[k]:
+                    out[i] += c * r
         return tuple(out)
 
     def zero(self) -> "CycNumber":
@@ -158,6 +171,9 @@ class CycNumber:
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: CycContext, num, den: int = 1):
+        if len(num) != ctx.phi:
+            raise PreconditionError(f"{len(num)} coefficients given, conductor {ctx.n} "
+                                    f"needs phi = {ctx.phi}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -237,7 +253,8 @@ class CycNumber:
 
     def __mul__(self, other):
         # a rational operand scales the vector; only general products need
-        # the polynomial product and the reduction mod Phi_N
+        # the polynomial product and the reduction mod Phi_N, which at
+        # phi = 2 (conductor 3, zeta^2 = -1 - zeta) has a closed form
         if isinstance(other, CycNumber):
             if other.ctx.n != self.ctx.n:
                 raise ConductorError(f"conductor mismatch {self.ctx.n} vs {other.ctx.n}")
@@ -245,7 +262,12 @@ class CycNumber:
                 return self._scaled(other.num[0], other.den)
             if not any(self.num[1:]):
                 return other._scaled(self.num[0], self.den)
-            num = self.ctx.reduce(_poly_mul(self.num, other.num))
+            if self.ctx.phi == 2:
+                (a0, a1), (b0, b1) = self.num, other.num
+                t = a1 * b1
+                num = (a0 * b0 - t, a0 * b1 + a1 * b0 - t)
+            else:
+                num = self.ctx.reduce(_poly_mul(self.num, other.num))
             if self.den == 1 and other.den == 1:
                 return _lowest(self.ctx, num, 1)
             return CycNumber(self.ctx, num, self.den * other.den)
@@ -307,14 +329,15 @@ def galois_apply(x: CycNumber, k: int) -> CycNumber:
     if gcd(k, n) != 1:
         raise InvalidAutomorphismError(f"exponent {k} shares a factor with {n}")
     k %= n
-    phi = x.ctx.phi
-    out = [0] * phi
+    terms = x.ctx.xpow_terms
+    out = [0] * x.ctx.phi
     for j, c in enumerate(x.num):
         if c:
-            row = x.ctx.xpow[(j * k) % n]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return CycNumber(x.ctx, tuple(out), x.den)
+            for i, r in terms[(j * k) % n]:
+                out[i] += c * r
+    # the automorphism is invertible on the lattice Z[zeta_N], so it keeps
+    # the gcd of the coefficients and the result stays in lowest terms
+    return _lowest(x.ctx, tuple(out), x.den)
 
 
 def discrete_log_in_mu(x: CycNumber, n: int) -> int:

@@ -11,7 +11,6 @@ from resolvend.cyclotomic import (
     CycContext,
     CycNumber,
     _bareiss_inverse,
-    _poly_mul,
     content_ord,
     cyc_det,
     cyc_inverse,
@@ -300,9 +299,131 @@ def test_algebra_valuation_and_powers():
         alg.frac_power(z, Fraction(1, 2))
 
 
+def _remainder_mod_phi(vec, poly) -> list[int]:
+    """Remainder of an integer polynomial on long division by the monic
+    Phi_N, as phi coefficients; reads neither ``xpow`` nor its sparse rows."""
+    out = list(vec)
+    d = len(poly) - 1
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        if c:
+            for i, p in enumerate(poly):
+                out[k - d + i] -= c * p
+    return out[:d] + [0] * max(0, d - len(out))
+
+
 def _product_by_reduction(x: CycNumber, y: CycNumber) -> CycNumber:
-    """Reference product: polynomial product, then reduction mod Phi_N."""
-    return CycNumber(x.ctx, x.ctx.reduce(_poly_mul(list(x.num), list(y.num))), x.den * y.den)
+    """Reference product: dense schoolbook product, then long division by Phi_N."""
+    prod = [0] * (len(x.num) + len(y.num) - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            prod[i + j] += a * b
+    return CycNumber(x.ctx, _remainder_mod_phi(prod, x.ctx.poly), x.den * y.den)
+
+
+def _galois_by_division(x: CycNumber, k: int) -> CycNumber:
+    """Reference automorphism: send zeta^j to x^(jk mod N), divide by Phi_N."""
+    vec = [0] * x.ctx.n
+    for j, c in enumerate(x.num):
+        vec[(j * k) % x.ctx.n] += c
+    return CycNumber(x.ctx, _remainder_mod_phi(vec, x.ctx.poly), x.den)
+
+
+def _galois_by_dense_rows(x: CycNumber, k: int) -> CycNumber:
+    """Reference automorphism: the sum of c_j times the dense row xpow[jk]."""
+    ctx = x.ctx
+    out = [0] * ctx.phi
+    for j, c in enumerate(x.num):
+        row = ctx.xpow[(j * k) % ctx.n]
+        for i in range(ctx.phi):
+            out[i] += c * row[i]
+    return CycNumber(ctx, out, x.den)
+
+
+PRODUCT_CONDUCTORS = (3, 5, 7, 9, 15, 21, 57)
+
+
+def _operands(ctx: CycContext, rng: random.Random) -> dict[str, CycNumber]:
+    """One operand of each shape the product kernels treat differently."""
+    phi = ctx.phi
+
+    def nonzero():
+        return rng.choice((-5, -2, -1, 1, 3, 4))
+
+    def sparse():
+        num = [0] * phi
+        for i in rng.sample(range(1, phi), min(2, phi - 1)):
+            num[i] = nonzero()
+        num[0] = rng.choice((0, nonzero()))
+        return num
+
+    return {
+        "sparse": CycNumber(ctx, sparse()),
+        "dense": CycNumber(ctx, [nonzero() for _ in range(phi)]),
+        "root": ctx.zeta_power(rng.randrange(1, ctx.n)),
+        "negated-root": -ctx.zeta_power(rng.randrange(1, ctx.n)),
+        "rational": ctx.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+        "sparse-over-den": CycNumber(ctx, sparse(), rng.choice((2, 3, 10))),
+        "dense-over-den": CycNumber(ctx, [nonzero() for _ in range(phi)], rng.choice((-4, 6, 9))),
+    }
+
+
+@pytest.mark.parametrize("n", PRODUCT_CONDUCTORS)
+def test_sparse_products_match_division_by_phi(n):
+    """Every product, including the closed form at conductor 3, equals a
+    dense schoolbook product divided by Phi_N, field by field."""
+    ctx = CycContext(n)
+    rng = random.Random(f"sparse-products:{n}")
+    for _ in range(4):
+        operands = _operands(ctx, rng)
+        for name_x, x in operands.items():
+            for name_y, y in operands.items():
+                got, want = _fields(x * y), _fields(_product_by_reduction(x, y))
+                assert got == want, (name_x, name_y)
+
+
+@pytest.mark.parametrize("n", PRODUCT_CONDUCTORS)
+def test_sparse_rows_match_division_by_phi(n):
+    """Each sparse row is x^k divided by Phi_N, the dense rows of the roots
+    of unity hold the same entries, and reduction agrees with division."""
+    ctx = CycContext(n)
+    assert len(ctx.xpow) == n
+    assert len(ctx.xpow_terms) == max(n, 2 * ctx.phi - 1)
+    for k, terms in enumerate(ctx.xpow_terms):
+        row = _remainder_mod_phi([0] * k + [1], ctx.poly)
+        assert terms == tuple((i, c) for i, c in enumerate(row) if c)
+        if k < n:
+            assert ctx.xpow[k] == tuple(row)
+    rng = random.Random(f"sparse-rows:{n}")
+    for length in (1, ctx.phi, ctx.phi + 1, 2 * ctx.phi - 1, len(ctx.xpow_terms)):
+        vec = [rng.choice((0, 0, -3, 1, 7)) for _ in range(length)]
+        assert list(ctx.reduce(vec)) == _remainder_mod_phi(vec, ctx.poly)
+
+
+@pytest.mark.parametrize("n", PRODUCT_CONDUCTORS)
+def test_galois_action_matches_the_dense_rows(n):
+    ctx = CycContext(n)
+    rng = random.Random(f"galois-rows:{n}")
+    units = [k for k in range(1, 2 * n) if gcd(k, n) == 1]
+    for x in _operands(ctx, rng).values():
+        for k in rng.sample(units, min(4, len(units))) + [-1]:
+            got = _fields(galois_apply(x, k))
+            assert got == _fields(_galois_by_dense_rows(x, k % n))
+            assert got == _fields(_galois_by_division(x, k))
+
+
+def test_coefficient_vectors_must_have_phi_entries():
+    """A short vector would truncate sums and a long one would break the
+    product kernels, so both are refused when the number is built."""
+    ctx = CycContext(9)
+    for num in ([1, 2, 3], [1] * 7, []):
+        for den in (1, -2):
+            with pytest.raises(PreconditionError):
+                CycNumber(ctx, num, den)
+    x = CycNumber(ctx, [1] * 6)
+    assert (x + x).num == (2,) * 6
+    with pytest.raises(PreconditionError):
+        CycNumber(CycContext(3), (1, 2, 3))
 
 
 @st.composite

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd, nextafter
 from pathlib import Path
@@ -396,3 +398,45 @@ def test_check_10_catches_a_trace_side_shifted_by_sub(monkeypatch):
     monkeypatch.setattr(suite, "trace_pairing_identity_check", sub_shifted_check)
     entries = run_suite(checks=["10"]).entries
     assert [(e.status, e.witness) for e in entries] == [("fail", "pair 0")] * 2
+
+
+@pytest.fixture
+def fresh_interning(monkeypatch):
+    """Empty interning caches for one test, so that no context, model,
+    algebra or character table built under a fault outlives the test."""
+    for cls in (CycContext, LocalModel, WildAlgebra, CharacterTable):
+        monkeypatch.setattr(cls, "_cache", {})
+
+
+@pytest.mark.parametrize("exact, faulty", [
+    ("num = (a0 * b0 - t,", "num = (a0 * b0,"),
+    ("a0 * b1 + a1 * b0 - t)", "a0 * b1 + a1 * b0)"),
+], ids=["constant", "zeta"])
+def test_check_04_fails_when_the_conductor_3_closed_form_drops_a_term(
+        monkeypatch, fresh_interning, exact, faulty):
+    """The phi = 2 product without one -a1 b1 term fails the e = 3 entries
+    of check 04, starting at the resolvent table.  Either fault is still a
+    bilinear product, which check 10's identity holds for, so check 10 is
+    not the detector here."""
+    source = inspect.getsource(CycNumber.__mul__)
+    assert source.count(exact) == 1
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source.replace(exact, faulty)), cyclotomic.__file__, "exec"),
+         vars(cyclotomic), namespace)
+    monkeypatch.setattr(CycNumber, "__mul__", namespace["__mul__"])
+    monkeypatch.setattr(CycNumber, "__rmul__", namespace["__mul__"])
+    failed = [(e.params.get("aspect"), e.witness) for e in
+              run_suite(checks=["04"], e_list=(3,)).entries if not e.ok]
+    assert ("resolvent-table", "character (0,)") in failed
+
+
+def test_checks_05_and_06_fail_on_a_corrupted_phi_57_row(fresh_interning):
+    """One wrong entry in the sparse row of x^phi mod Phi_57 (the dense
+    rows, and so zeta_power, stay right) fails the composite checks."""
+    ctx = CycContext(57)
+    row = ctx.xpow_terms[ctx.phi]
+    (i, c), rest = row[0], row[1:]
+    ctx.xpow_terms[ctx.phi] = ((i, c + 1),) + rest
+    report = run_suite(checks=["05", "06"])
+    assert {e.check_id for e in report.entries if not e.ok} == {
+        "05-decompose-roundtrip", "06-transport-closure"}
