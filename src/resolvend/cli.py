@@ -32,7 +32,6 @@ from .localfield import (
 )
 from .stickelberger import (
     DetKernelBasis,
-    characters,
     det_map,
     integrality_check,
     stickelberger_map,
@@ -134,18 +133,17 @@ def _int_list(spec: str) -> tuple:
 
 def cmd_pairing(args) -> tuple:
     group = _parse_group(args.group)
-    chars = list(characters(group))
     elements = list(group.elements())
     matrix = [[_frac(stickelberger_pairing(group, chi, s)) for s in elements]
-              for chi in chars]
+              for chi in elements]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["character"] + [_label(s) for s in elements])
-        for chi, row in zip(chars, matrix):
+        for chi, row in zip(elements, matrix):
             writer.writerow([_label(chi)] + row)
         return None, True
     result = {"group": group.spec,
-              "characters": [_label(chi) for chi in chars],
+              "characters": [_label(chi) for chi in elements],
               "elements": [_label(s) for s in elements],
               "matrix": matrix}
     return result, True

@@ -7,6 +7,11 @@ c_u = a(u^{-1}) as ``coeffs``.  The product r(a1) r(a2) is r of the
 convolution of a1 and a2, and ``involution`` (u -> u^{-1} on coefficients,
 s -> s^{-1} on the map) is the one reindexing.
 
+Characters are the group's own tuples (see ``stickelberger``), so a value in
+character space is a plain dict {chi: (a | chi)}.  The character table is
+symmetric, so one transform serves both directions: the inverse reads the
+dict as a map on G and takes its resolvents.
+
 The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
 ``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
@@ -23,13 +28,7 @@ from fractions import Fraction
 
 from .errors import NotGaloisOrbitError, NotInvertibleError, SingularResolvendError
 from .groups import FiniteAbelianGroup, GroupElement
-from .stickelberger import (
-    CharacterTable,
-    DetKernelBasis,
-    char_inv,
-    characters,
-    pairing_sign,
-)
+from .stickelberger import CharacterTable, DetKernelBasis, pairing_sign
 
 
 class Resolvend:
@@ -57,9 +56,6 @@ class Resolvend:
         return Resolvend(self.group, self.algebra,
                          {self.group.sub(s, t): v for s, v in self.values.items()})
 
-    def map_values(self, fn) -> "Resolvend":
-        return Resolvend(self.group, self.algebra, {s: fn(v) for s, v in self.values.items()})
-
     def into(self, algebra, fn) -> "Resolvend":
         return Resolvend(self.group, algebra, {s: fn(v) for s, v in self.values.items()})
 
@@ -76,22 +72,9 @@ class Resolvend:
         return f"Resolvend({self.group.spec}, {len(self.values)} nonzero)"
 
 
-def unit_map(group: FiniteAbelianGroup, algebra, overrides: dict | None = None) -> Resolvend:
-    """Map with value one everywhere, then explicit overrides."""
-    values = {s: algebra.one() for s in group.elements()}
-    if overrides:
-        for s, v in overrides.items():
-            values[group.validate(s)] = v
-    return Resolvend(group, algebra, values)
-
-
 def delta_resolvend(group: FiniteAbelianGroup, algebra, t: GroupElement) -> Resolvend:
     """The group element t, i.e. the map with value one at t^{-1}."""
     return Resolvend(group, algebra, {group.neg(group.validate(t)): algebra.one()})
-
-
-def identity_resolvend(group: FiniteAbelianGroup, algebra) -> Resolvend:
-    return delta_resolvend(group, algebra, group.identity)
 
 
 def involution(r: Resolvend) -> Resolvend:
@@ -100,66 +83,43 @@ def involution(r: Resolvend) -> Resolvend:
 
 
 def resolvent(a: Resolvend, chi) -> object:
-    """(a | chi) = sum_s a(s) chi(s)^{-1}, reading one row of chi^{-1}."""
+    """(a | chi) = sum_s a(s) chi(s)^{-1}, reading one row of chi^{-1}; a value
+    at an s with chi(s) = 1 is added without a product."""
     alg, group = a.algebra, a.group
     table = CharacterTable(group)
-    table.position(chi)  # a character outside the group raises here
-    roots = table.roots(char_inv(group, chi), alg.ctx)
+    row = table.row(chi)  # a character outside the group raises here
+    roots = table.roots(group.neg(chi), alg.ctx)
     position = table.position
     acc = alg.zero()
     for s, v in a.values.items():
-        acc = acc + v * roots[position(s)]
+        j = position(s)
+        acc = acc + (v * roots[j] if row[j] else v)
     return acc
 
 
-class CharacterVector:
-    """Function on the dual group; the character-space image of a resolvend."""
-
-    def __init__(self, group: FiniteAbelianGroup, algebra, values: dict):
-        self.group = group
-        self.algebra = algebra
-        self.values = dict(values)
-
-    def __eq__(self, other):
-        return (isinstance(other, CharacterVector) and self.group == other.group
-                and self.values == other.values)
-
-
-def to_character_space(r: Resolvend) -> CharacterVector:
+def to_character_space(r: Resolvend) -> dict:
     """Evaluate sum_u c_u u = sum_s a(s) s^{-1} at every character; a ring
-    isomorphism."""
-    return CharacterVector(r.group, r.algebra,
-                           {chi: resolvent(r, chi) for chi in characters(r.group)})
+    isomorphism onto {chi: (a | chi)}."""
+    return {chi: resolvent(r, chi) for chi in r.group.elements()}
 
 
-def from_character_space(v: CharacterVector) -> Resolvend:
-    """Inverse of to_character_space by orthogonality (divides by |G|):
-    c_u = (1/|G|) sum_chi v(chi) chi(u)^{-1}, stored as a(u^{-1})."""
-    alg = v.algebra
-    group = v.group
-    table = CharacterTable(group)
-    rows = [(val, table.roots(chi, alg.ctx)) for chi, val in v.values.items()]
+def from_character_space(group: FiniteAbelianGroup, algebra, values: dict) -> Resolvend:
+    """Inverse of to_character_space by orthogonality: with v read as a map on
+    G, a(s) = (1/|G|) (v | s^{-1}), since chi(s) = s(chi)."""
+    v = Resolvend(group, algebra, values)
     scale = Fraction(1, group.order)
-    values = {}
-    for u in group.elements():
-        s = group.neg(u)
-        j = table.index[s]
-        acc = alg.zero()
-        for val, roots in rows:
-            acc = acc + val * roots[j]
-        values[s] = acc * scale
-    return Resolvend(group, alg, values)
+    return Resolvend(group, algebra,
+                     {group.neg(u): resolvent(v, u) * scale for u in group.elements()})
 
 
 def invert_resolvend(r: Resolvend) -> Resolvend:
     """Pointwise inversion in character space; exact."""
-    v = to_character_space(r)
     inv_values = {}
-    for chi, val in v.values.items():
+    for chi, val in to_character_space(r).items():
         if r.algebra.is_zero(val):
             raise SingularResolvendError(f"resolvent vanishes at character {chi}")
         inv_values[chi] = r.algebra.inv(val)
-    return from_character_space(CharacterVector(r.group, r.algebra, inv_values))
+    return from_character_space(r.group, r.algebra, inv_values)
 
 
 def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
@@ -248,7 +208,7 @@ def unit_certificate(a: Resolvend) -> CertificateReport:
     return CertificateReport(ok, ok, ok, witnesses[:8])
 
 
-def transpose_lift(g: Resolvend) -> CharacterVector:
+def transpose_lift(g: Resolvend) -> dict:
     """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
     g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra
     and <chi, s> = c/exp(G) read from the character table."""
@@ -259,13 +219,13 @@ def transpose_lift(g: Resolvend) -> CharacterVector:
     support = [(j, v) for j, v in enumerate(map(g.value, group.elements()))
                if j and v != one]  # position 0 is the identity
     values = {}
-    for chi, row in zip(characters(group), table.rows):
+    for chi, row in zip(group.elements(), table.rows):
         acc = one
         for j, v in support:
             if row[j]:
                 acc = acc * alg.frac_power(v, Fraction(sign * row[j], m))
         values[chi] = acc
-    return CharacterVector(group, alg, values)
+    return values
 
 
 def resolvend_product_transport(a1: Resolvend, a2: Resolvend) -> Resolvend:
@@ -286,15 +246,15 @@ def reduced_equal(r1: Resolvend, r2: Resolvend, basis: DetKernelBasis) -> bool:
     v1 = to_character_space(r1)
     v2 = to_character_space(r2)
     for vec in (v1, v2):
-        for chi, val in vec.values.items():
+        for chi, val in vec.items():
             if r1.algebra.is_zero(val):
                 raise SingularResolvendError(f"resolvent vanishes at character {chi}")
     for combo in basis.combos():
         acc1 = r1.algebra.one()
         acc2 = r1.algebra.one()
         for chi, mult in combo.items():
-            acc1 = acc1 * (v1.values[chi] ** mult)
-            acc2 = acc2 * (v2.values[chi] ** mult)
+            acc1 = acc1 * (v1[chi] ** mult)
+            acc2 = acc2 * (v2[chi] ** mult)
         if acc1 != acc2:
             return False
     return True
@@ -306,7 +266,7 @@ def associated_hom(a: Resolvend, automorphisms) -> dict[str, GroupElement]:
     group = a.group
     out: dict[str, GroupElement] = {}
     for name, fn in automorphisms:
-        twisted = a.map_values(fn)
+        twisted = a.into(a.algebra, fn)
         found = None
         for t in group.elements():
             if twisted == a.translate(t):

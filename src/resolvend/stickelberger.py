@@ -1,5 +1,11 @@
 """Characters of odd abelian groups and the centered Stickelberger pairing.
 
+In invariant-factor coordinates the dual group is the group itself: the
+character chi = (chi_1, ..., chi_k) sends s to zeta_m^c with
+c = sum_i chi_i s_i m/d_i, m = exp(G), and that exponent is symmetric in chi
+and s.  So characters are the group's own element tuples, and the group's
+``neg``, ``scale`` and ``elements`` serve them too.
+
 Odd order makes the centering canonical: for each character chi and group
 element s there is exactly one integer upsilon in [(1-|s|)/2, (|s|-1)/2]
 with chi(s) = zeta_{|s|}^upsilon, and the pairing is <chi, s> = upsilon/|s|.
@@ -12,7 +18,6 @@ computed by exact integer elimination and canonicalized by row HNF.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -23,19 +28,6 @@ from .groups import FiniteAbelianGroup, GroupElement
 from .intlinalg import det, hnf_rows, kernel_basis
 
 Character = tuple[int, ...]
-
-
-def characters(group: FiniteAbelianGroup):
-    """All characters, as image tuples, in lexicographic order."""
-    return itertools.product(*(range(d) for d in group.factors))
-
-
-def char_inv(group: FiniteAbelianGroup, a: Character) -> Character:
-    return tuple((-x) % d for x, d in zip(a, group.factors))
-
-
-def char_pow(group: FiniteAbelianGroup, a: Character, k: int) -> Character:
-    return tuple((x * k) % d for x, d in zip(a, group.factors))
 
 
 class CharacterTable:
@@ -61,7 +53,7 @@ class CharacterTable:
         m = group.exponent
         centered = [k if 2 * k < m else k - m for k in range(m)]
         self.rows = []
-        for chi in characters(group):
+        for chi in group.elements():
             # k(chi, s) = sum_i chi_i s_i (m/d_i) mod m, last coordinate fastest
             ks = [0]
             for img, d in zip(chi, group.factors):
@@ -102,11 +94,6 @@ def pairing_sign() -> int:
     return -1 if faults.is_active(faults.PAIRING_SIGN_FLIP) else 1
 
 
-def char_exponent(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> int:
-    """chi(s) = zeta_m^k for the group exponent m; returns k in [0, m)."""
-    return CharacterTable(group).value(chi, s) % group.exponent
-
-
 def stickelberger_pairing(group: FiniteAbelianGroup, chi: Character, s: GroupElement) -> Fraction:
     """<chi, s> = upsilon/|s| with upsilon centered in [(1-|s|)/2, (|s|-1)/2],
     read from the character table as c/exp(G).
@@ -145,7 +132,7 @@ class DetKernelBasis:
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        self.characters: list[Character] = list(characters(group))
+        self.characters: list[Character] = list(group.elements())
         n = len(self.characters)
         k = group.rank
         # lattice {x : M x = 0 mod (d_i)} via kernel of [M | diag(d)], projected
@@ -191,8 +178,8 @@ def equivariance_check(group: FiniteAbelianGroup, k: int) -> bool:
     # both sides are table reads, so the pairing-sign fault negates them alike
     table = CharacterTable(group)
     twist = [table.position(group.scale(s, k)) for s in group.elements()]
-    for chi in characters(group):
+    for chi in group.elements():
         row = table.row(chi)
-        if table.row(char_pow(group, chi, k)) != tuple(row[j] for j in twist):
+        if table.row(group.scale(chi, k)) != tuple(row[j] for j in twist):
             return False
     return True

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .faults import ALPHA_UNNORMALIZED, is_active
 from .groupring import (
-    CharacterVector,
     Resolvend,
     from_character_space,
     generator_certificate,
@@ -36,11 +35,10 @@ from .groupring import (
     to_character_space,
     transpose_lift,
     unit_certificate,
-    unit_map,
 )
 from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .localfield import LocalModel, prime_power_base
-from .stickelberger import CharacterTable, DetKernelBasis, characters, pairing_sign
+from .stickelberger import CharacterTable, DetKernelBasis, pairing_sign
 
 # the unramified search tries coefficients in [-SEARCH_BOUND, SEARCH_BOUND]
 # on at most SEARCH_SUPPORT roots of unity
@@ -78,19 +76,13 @@ def factorize(h: TameHom) -> tuple[TameHom, TameHom]:
     return (TameHom(h.group, h.t_phi, one, h.q), TameHom(h.group, one, h.s_sigma, h.q))
 
 
-@dataclass(frozen=True)
-class PrimeFElement:
-    """The map on G sending s to the base uniformizer and all else to 1."""
-
-    group: FiniteAbelianGroup
-    model: LocalModel
-    s: GroupElement
-
-    def as_resolvend(self) -> Resolvend:
-        over = {}
-        if self.s != self.group.identity:
-            over[self.s] = self.model.pi_power(1)
-        return unit_map(self.group, self.model, over)
+def prime_element_map(group: FiniteAbelianGroup, model: LocalModel,
+                      s: GroupElement) -> Resolvend:
+    """The map f_s on G sending s to the base uniformizer and all else to 1."""
+    values = {x: model.one() for x in group.elements()}
+    if s != group.identity:
+        values[group.validate(s)] = model.pi_power(1)
+    return Resolvend(group, model, values)
 
 
 def build_model(e: int, q: int, conductor: int | None = None) -> LocalModel:
@@ -138,7 +130,7 @@ def resolvent_table(a: Resolvend, s: GroupElement):
     table = CharacterTable(a.group)
     col = table.position(s)
     sign, m = pairing_sign(), a.group.exponent
-    for chi, row in zip(characters(a.group), table.rows):
+    for chi, row in zip(a.group.elements(), table.rows):
         pairing = Fraction(sign * row[col], m)
         value = resolvent(a, chi)
         yield chi, pairing, value, value == model.pi_power(pairing)
@@ -189,35 +181,35 @@ def basis_change_is_unit(a: Resolvend, s: GroupElement) -> bool:
 
 
 def decompose_tame_resolvend(h: TameHom, a: Resolvend,
-                             basis: DetKernelBasis) -> tuple[Resolvend, PrimeFElement]:
-    """Factor r(a) as u * lift(f_s): checks the generator certificate, builds
-    the unit part u in character space, certifies u and u^{-1} integral, and
-    verifies the factorization on the determinant kernel."""
+                             basis: DetKernelBasis) -> tuple[Resolvend, GroupElement]:
+    """Factor r(a) as u * lift(f_s) and return (u, s): checks the generator
+    certificate, builds the unit part u in character space, certifies u and
+    u^{-1} integral, and verifies the factorization on the determinant kernel."""
     model = a.algebra
     group = a.group
     e = element_order(group, h.s_sigma)
     cert = generator_certificate(a, (1 - e) // 2)
     if not cert.ok:
         raise NotAGeneratorError("; ".join(cert.witnesses) or "certificate failed")
-    f = PrimeFElement(group, model, h.s_sigma)
-    vf = transpose_lift(f.as_resolvend())
+    vf = transpose_lift(prime_element_map(group, model, h.s_sigma))
     va = to_character_space(a)
-    u_vals = {chi: va.values[chi] * model.inv(vf.values[chi]) for chi in va.values}
-    u = from_character_space(CharacterVector(group, model, u_vals))
+    u = from_character_space(group, model,
+                             {chi: va[chi] * model.inv(vf[chi]) for chi in va})
     for g, c in u.coeffs.items():
         if model.val(c) < 0:
             raise NotAGeneratorError(f"unit part not integral at {g}")
     for g, c in invert_resolvend(u).coeffs.items():
         if model.val(c) < 0:
             raise NotAGeneratorError(f"inverse of unit part not integral at {g}")
-    if not reduced_equal(a, u * from_character_space(vf), basis):
+    if not reduced_equal(a, u * from_character_space(group, model, vf), basis):
         raise NotAGeneratorError("factorization fails reduced equality")
-    return u, f
+    return u, h.s_sigma
 
 
-def recompose(u: Resolvend, f: PrimeFElement) -> Resolvend:
-    """Inverse direction of the decomposition: u * lift(f)."""
-    return u * from_character_space(transpose_lift(f.as_resolvend()))
+def recompose(u: Resolvend, s: GroupElement) -> Resolvend:
+    """Inverse direction of the decomposition: u * lift(f_s)."""
+    lift = transpose_lift(prime_element_map(u.group, u.algebra, s))
+    return u * from_character_space(u.group, u.algebra, lift)
 
 
 def _ord_mod(q: int, r: int) -> int:
@@ -334,9 +326,9 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
             current = galois_apply(current, q)
         a = Resolvend(habs, alg, values)
         vec = to_character_space(a)
-        if any(alg.val(v) != 0 for v in vec.values.values()):
+        if any(alg.val(v) != 0 for v in vec.values()):
             continue
-        if not _unit_above_p(vec.values.values(), ctx, p):
+        if not _unit_above_p(vec.values(), ctx, p):
             continue
         if unit_certificate(a).ok:
             return Resolvend(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})

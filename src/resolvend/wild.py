@@ -22,10 +22,10 @@ from itertools import accumulate
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
-from .groupring import Resolvend, identity_resolvend, involution, resolvent, transpose_lift
+from .groupring import Resolvend, delta_resolvend, involution, resolvent, transpose_lift
 from .groups import FiniteAbelianGroup, GroupElement, element_order, prime_factors
 from .laurent import SCALARS, LaurentAlgebra, LaurentElement, _product, _scaled
-from .stickelberger import char_exponent, char_inv, characters
+from .stickelberger import CharacterTable
 
 INF = float("inf")
 
@@ -259,11 +259,12 @@ def wild_resolvent_identity(a: Resolvend, t: GroupElement) -> bool:
     group, alg = a.group, a.algebra
     t = group.element(t)
     lift = transpose_lift(pth_power_map(group, t, alg))
+    table = CharacterTable(group)
     step = group.exponent // alg.p
-    for chi in characters(group):
+    for chi in group.elements():
         # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^(m / step)
-        mono = alg.standard_monomial(char_exponent(group, chi, t) // step)
-        if resolvent(a, chi) != mono or lift.values[chi] != mono:
+        mono = alg.standard_monomial(table.value(chi, t) // step)
+        if resolvent(a, chi) != mono or lift[chi] != mono:
             return False
     return True
 
@@ -360,13 +361,13 @@ def wild_unit_resolvents(a: Resolvend) -> bool:
     """Every resolvent of the wild generator a is a unit monomial and
     r(a) r(a)^{[-1]} = 1."""
     group, alg = a.group, a.algebra
-    for chi in characters(group):
+    for chi in group.elements():
         r1 = resolvent(a, chi)
         if not alg.is_unit_monomial(r1):
             return False
-        if r1 * resolvent(a, char_inv(group, chi)) != alg.one():
+        if r1 * resolvent(a, group.neg(chi)) != alg.one():
             return False
-    return a * involution(a) == identity_resolvend(group, alg)
+    return a * involution(a) == delta_resolvend(group, alg, group.identity)
 
 
 def elementary_product_check(p: int, r: int) -> bool:
@@ -385,7 +386,7 @@ def elementary_product_check(p: int, r: int) -> bool:
     a = gens[0]
     for b in gens[1:]:
         a = a * b
-    for chi in characters(group):
+    for chi in group.elements():
         res = resolvent(a, chi)
         if not alg.is_unit_monomial(res):
             return False

@@ -14,47 +14,53 @@ from resolvend.groups import FiniteAbelianGroup, element_order
 from resolvend.stickelberger import (
     CharacterTable,
     DetKernelBasis,
-    char_exponent,
-    char_inv,
-    char_pow,
-    characters,
     det_map,
     equivariance_check,
     integrality_check,
     stickelberger_map,
     stickelberger_pairing,
 )
-from resolvend.suite import _integrality_columns
+from resolvend.suite import _integrality_columns, odd_abelian_groups
 
 
 def test_character_group_arithmetic():
+    """Characters are the group's own tuples: the determinant map multiplies
+    them with the group law, so inverses and powers are ``neg`` and ``scale``."""
     group = FiniteAbelianGroup((3, 9))
-    chars = list(characters(group))
+    chars = list(group.elements())
     assert len(chars) == 27
     assert chars[0] == (0, 0)
     a, b = (1, 4), (2, 7)
-    assert det_map(group, {a: 1, b: 1}) == (0, 2)
-    assert det_map(group, {a: 1, char_inv(group, a): 1}) == (0, 0)
-    assert det_map(group, {a: 2}) == char_pow(group, a, 2)
-    assert char_pow(group, a, 5) == (2, 2)
-    assert char_pow(group, a, -1) == char_inv(group, a)
+    assert det_map(group, {a: 1, b: 1}) == (0, 2) == group.add(a, b)
+    assert det_map(group, {a: 1, group.neg(a): 1}) == (0, 0)
+    assert det_map(group, {a: 2}) == group.scale(a, 2)
+    assert det_map(group, {a: 5}) == group.scale(a, 5) == (2, 2)
+    assert det_map(group, {a: -1}) == group.scale(a, -1) == group.neg(a)
 
 
-def test_char_exponent_is_bilinear():
+def test_character_table_is_bilinear():
     group = FiniteAbelianGroup((3, 9))
     m = group.exponent
+    table = CharacterTable(group)
     rng = random.Random("char-bilinear")
-    chars = list(characters(group))
     elems = list(group.elements())
     for _ in range(80):
-        chi, psi = rng.choice(chars), rng.choice(chars)
+        chi, psi = rng.choice(elems), rng.choice(elems)
         s, t = rng.choice(elems), rng.choice(elems)
         # {chi: 1, psi: 1} would collapse to {chi: 1} when chi == psi
         product = det_map(group, {chi: 2} if chi == psi else {chi: 1, psi: 1})
-        assert (char_exponent(group, product, s)
-                == (char_exponent(group, chi, s) + char_exponent(group, psi, s)) % m)
-        assert (char_exponent(group, chi, group.add(s, t))
-                == (char_exponent(group, chi, s) + char_exponent(group, chi, t)) % m)
+        assert (table.value(product, s) - table.value(chi, s) - table.value(psi, s)) % m == 0
+        assert (table.value(chi, group.add(s, t))
+                - table.value(chi, s) - table.value(chi, t)) % m == 0
+
+
+def test_character_table_is_symmetric():
+    """chi(s) = s(chi) on every odd group of order <= 27: the identity that
+    lets one transform serve both directions."""
+    for group in odd_abelian_groups(27):
+        rows = CharacterTable(group).rows
+        n = group.order
+        assert all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
 
 
 def _char_value(group, chi, s, ctx):
@@ -84,7 +90,7 @@ def test_root_rows_match_the_per_call_formula():
     for group in _odd_groups(27):
         table = CharacterTable(group)
         for ctx in (CycContext(group.exponent), CycContext(3 * group.exponent)):
-            for chi in characters(group):
+            for chi in group.elements():
                 assert table.roots(chi, ctx) == [_char_value(group, chi, s, ctx)
                                                  for s in table.index]
 
@@ -102,14 +108,14 @@ def test_pairing_table_on_c3():
 
 def test_pairing_is_centered_and_antisymmetric():
     group = FiniteAbelianGroup((3, 9))
-    for chi in characters(group):
+    for chi in group.elements():
         for s in group.elements():
             v = stickelberger_pairing(group, chi, s)
             n = element_order(group, s)
             assert abs(v) <= Fraction(n - 1, 2 * n)
             assert v * n == int(v * n)
             # conjugate character negates the centered pairing (odd order)
-            assert stickelberger_pairing(group, char_inv(group, chi), s) == -v
+            assert stickelberger_pairing(group, group.neg(chi), s) == -v
 
 
 def _pairing_by_dlog(group, chi, s, ctx):
@@ -141,7 +147,7 @@ def test_pairing_matches_dlog_reference():
     pairs = 0
     for group in groups:
         ctx = CycContext(group.exponent)
-        for chi in characters(group):
+        for chi in group.elements():
             for s in group.elements():
                 assert (stickelberger_pairing(group, chi, s)
                         == _pairing_by_dlog(group, chi, s, ctx))
@@ -179,12 +185,12 @@ def test_character_table_matches_per_call_formula():
         table = CharacterTable(group)
         assert table is CharacterTable(FiniteAbelianGroup(group.factors))
         m = group.exponent
-        for chi, row in zip(characters(group), table.rows):
+        for chi, row in zip(group.elements(), table.rows):
             for s, c in zip(group.elements(), row):
                 assert 2 * abs(c) < m
                 want = _pairing_by_formula(group, chi, s)
                 assert Fraction(c, m) == want == stickelberger_pairing(group, chi, s)
-                assert char_exponent(group, chi, s) == _char_exponent_by_loop(group, chi, s)
+                assert table.value(chi, s) % m == _char_exponent_by_loop(group, chi, s)
                 pairs += 1
     assert pairs == 5817
 
@@ -195,7 +201,7 @@ def test_centered_exponent_identity_on_larger_groups():
         group = FiniteAbelianGroup(spec)
         table = CharacterTable(group)
         m = group.exponent
-        for chi, row in zip(characters(group), table.rows):
+        for chi, row in zip(group.elements(), table.rows):
             for s, c in zip(group.elements(), row):
                 assert 2 * abs(c) < m
                 assert c % m == _char_exponent_by_loop(group, chi, s)
@@ -210,7 +216,7 @@ def test_sign_fault_is_read_from_the_table_never_stored():
 
     def reads():
         pairings = [stickelberger_pairing(group, chi, s)
-                    for chi in characters(group) for s in group.elements()]
+                    for chi in group.elements() for s in group.elements()]
         return pairings, stickelberger_map(group, psi), _integrality_columns(group)[1]
 
     pairings, theta, columns = reads()
@@ -271,7 +277,7 @@ def test_theta_shape():
 def test_integrality_matches_trivial_det_exhaustively():
     """The theorem, checked directly on every psi with small coefficients."""
     group = FiniteAbelianGroup((3,))
-    chars = list(characters(group))
+    chars = list(group.elements())
     for coeffs in itertools.product(range(-2, 3), repeat=len(chars)):
         psi = {chi: c for chi, c in zip(chars, coeffs) if c}
         trivial = det_map(group, psi) == group.identity
@@ -280,7 +286,7 @@ def test_integrality_matches_trivial_det_exhaustively():
 
 def test_integrality_matches_trivial_det_sampled():
     group = FiniteAbelianGroup((5,))
-    chars = list(characters(group))
+    chars = list(group.elements())
     rng = random.Random("stickelberger-c5")
     for _ in range(200):
         psi = {chi: rng.randrange(-2, 3) for chi in chars}
@@ -310,7 +316,7 @@ def test_kernel_membership():
         assert basis.contains(combo)
     # membership agrees with the determinant over a sampled set
     rng = random.Random("kernel-members")
-    chars = list(characters(group))
+    chars = list(group.elements())
     for _ in range(100):
         psi = {chi: rng.randrange(-3, 4) for chi in chars}
         assert basis.contains(psi) == (det_map(group, psi) == group.identity)

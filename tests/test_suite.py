@@ -19,7 +19,7 @@ from resolvend.errors import PreconditionError
 from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.localfield import LocalModel
-from resolvend.stickelberger import CharacterTable, characters, pairing_sign
+from resolvend.stickelberger import CharacterTable, pairing_sign
 from resolvend.suite import (
     _exhaustive_mismatch,
     _exhaustive_verdicts,
@@ -111,6 +111,18 @@ def test_check_04_fails_when_valuations_are_overstated(monkeypatch):
                       for e in (3, 5, 7, 9)]
 
 
+def test_check_06_fails_when_valuations_are_overstated(monkeypatch):
+    """The same overstated val passes check 06's certificates too; its
+    inverse and translation entries also need the certified maps to reach
+    the floor -1, and every one of them then reads 0."""
+    val = LocalModel.val
+    monkeypatch.setattr(LocalModel, "val", lambda self, x: val(self, x) + 1 if x.terms else val(self, x))
+    report = run_suite(checks=["06"])
+    failed = [(e.params["aspect"], e.witness) for e in report.entries if not e.ok]
+    loose = "min v of the map's values = 0 != -1"
+    assert failed == [("inverse", loose), ("translation", f"twist by (0,); {loose}")]
+
+
 def test_check_04_rejects_a_non_unit_determinant(monkeypatch):
     # 3 + zeta_3 has content order 0 at 7 but norm 7, so it is not a unit
     fake = CycContext(3).zeta_power(1) + 3
@@ -144,7 +156,7 @@ def _numpy_matrices(group):
     """The pairing matrix times L = exp(G) (characters by rows, elements
     s != 1 by columns), the character matrix and the invariant factors."""
     pair_mat = np.array(CharacterTable(group).rows, dtype=np.int64)[:, 1:] * pairing_sign()
-    return (pair_mat, np.array([list(chi) for chi in characters(group)], dtype=np.int64),
+    return (pair_mat, np.array([list(chi) for chi in group.elements()], dtype=np.int64),
             np.array(group.factors, dtype=np.int64))
 
 

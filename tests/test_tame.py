@@ -16,6 +16,7 @@ from resolvend.cyclotomic import (
 )
 from resolvend.errors import (
     ConductorError,
+    InvalidElementError,
     NotAGeneratorError,
     PreconditionError,
     SearchFailureError,
@@ -31,16 +32,10 @@ from resolvend.groupring import (
     resolvent,
     transpose_lift,
     unit_certificate,
-    unit_map,
 )
 from resolvend.localfield import prime_power_base
-from resolvend.stickelberger import (
-    DetKernelBasis,
-    characters,
-    stickelberger_pairing,
-)
+from resolvend.stickelberger import DetKernelBasis, stickelberger_pairing
 from resolvend.tame import (
-    PrimeFElement,
     TameHom,
     _unit_above_p,
     basis_change_determinant,
@@ -49,6 +44,7 @@ from resolvend.tame import (
     decompose_tame_resolvend,
     factorize,
     inversion_identity_check,
+    prime_element_map,
     recompose,
     resolvent_table,
     tame_generator,
@@ -97,7 +93,7 @@ def test_resolvent_table():
         a = tame_generator(group, s, q)
         model = a.algebra
         rows = list(resolvent_table(a, s))
-        assert [row[0] for row in rows] == list(characters(group))
+        assert [row[0] for row in rows] == list(group.elements())
         for chi, pairing, value, match in rows:
             assert pairing == stickelberger_pairing(group, chi, s)
             assert value == resolvent(a, chi) == model.pi_power(pairing)
@@ -160,12 +156,12 @@ def test_decompose_recompose_roundtrip():
     h = TameHom(C3, (0,), (1,), 7)
     a = tame_generator(C3, (1,), 7)
     basis = DetKernelBasis(C3)
-    u, f = decompose_tame_resolvend(h, a, basis)
-    assert f.s == (1,)
+    u, s = decompose_tame_resolvend(h, a, basis)
+    assert s == (1,)
     model = a.algebra
     for c in u.coeffs.values():
         assert model.val(c) >= 0
-    assert reduced_equal(a, recompose(u, f), basis)
+    assert reduced_equal(a, recompose(u, s), basis)
 
 
 def test_decompose_rejects_non_generators():
@@ -173,7 +169,7 @@ def test_decompose_rejects_non_generators():
     a = tame_generator(C3, (1,), 7)
     model = a.algebra
     # scaling by pi keeps the floor but destroys the unit property
-    shifted = a.map_values(lambda v: v * model.pi_power(1))
+    shifted = a.into(model, lambda v: v * model.pi_power(1))
     basis = DetKernelBasis(C3)
     with pytest.raises(NotAGeneratorError):
         decompose_tame_resolvend(h, shifted, basis)
@@ -183,36 +179,38 @@ def test_decompose_rejects_non_generators():
         decompose_tame_resolvend(h, broken, basis)
 
 
-def test_prime_f_element():
+def test_prime_element_map():
     model = build_model(3, 7)
-    f = PrimeFElement(C3, model, (1,))
-    g = f.as_resolvend()
+    g = prime_element_map(C3, model, (1,))
     assert g.value((1,)) == model.pi_power(1)
     assert g.value((0,)) == model.one()
     assert g.value((2,)) == model.one()
-    lifted = from_character_space(transpose_lift(g))
+    lifted = from_character_space(C3, model, transpose_lift(g))
     # the lift of the trivial prime element is the identity
-    triv = PrimeFElement(C3, model, (0,))
-    assert from_character_space(transpose_lift(triv.as_resolvend())).coeffs == {(0,): model.one()}
+    triv = prime_element_map(C3, model, (0,))
+    assert triv == Resolvend(C3, model, {s: model.one() for s in C3.elements()})
+    assert from_character_space(C3, model, transpose_lift(triv)).coeffs == {(0,): model.one()}
     assert lifted.coeffs != {}
+    with pytest.raises(InvalidElementError):
+        prime_element_map(C3, model, (3,))
 
 
 def test_transpose_lift_on_kernel_basis():
     """On a determinant-kernel vector psi the lift multiplies out to
     prod_s g(s)^<psi, s>, whose exponents are integral."""
     model = build_model(3, 7)
-    lift = transpose_lift(PrimeFElement(C3, model, (1,)).as_resolvend())
+    lift = transpose_lift(prime_element_map(C3, model, (1,)))
     for combo in DetKernelBasis(C3).combos():
         acc = model.one()
         for chi, mult in combo.items():
-            acc = acc * lift.values[chi] ** mult
+            acc = acc * lift[chi] ** mult
         exp = sum(mult * stickelberger_pairing(C3, chi, (1,)) for chi, mult in combo.items())
         assert exp.denominator == 1
         assert acc == model.pi_power(exp)
     # off the kernel the exponent is fractional, so the value leaves F
-    assert not model.in_base_field(lift.values[(1,)])
-    ones = transpose_lift(unit_map(C3, model))
-    assert all(v == model.one() for v in ones.values.values())
+    assert not model.in_base_field(lift[(1,)])
+    ones = transpose_lift(prime_element_map(C3, model, C3.identity))
+    assert all(v == model.one() for v in ones.values())
 
 
 def test_unramified_search_small():
