@@ -8,12 +8,15 @@ and exits 0 when the requested verification passes, 1 when it fails, 2
 on invalid input and 3 on an internal error.  Output is deterministic:
 rerunning with identical arguments produces identical bytes (suite timings
 are opt-in because they would break that).
+
+The module itself loads only ``errors``, ``faults`` and ``groups``, which
+the parser needs; each ``cmd_*`` handler imports the modules it runs, so a
+one-shot command compiles and executes only its own part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -21,39 +24,7 @@ from math import gcd, lcm, prod
 
 from .errors import ParityError, PreconditionError, ResolvendError
 from .faults import ALL_FAULTS
-from .groupring import generator_certificate
-from .groups import FiniteAbelianGroup, element_order
-from .localfield import (
-    RamFiltration,
-    different_valuation,
-    is_weakly_ramified,
-    sqrt_inverse_different_valuation,
-    validate_abelian_filtration,
-)
-from .stickelberger import (
-    DetKernelBasis,
-    det_map,
-    integrality_check,
-    stickelberger_map,
-    stickelberger_pairing,
-)
-from .suite import ALLOWED_E, ALLOWED_P, MAX_ORDER, run_suite
-from .tame import (
-    basis_change_is_unit,
-    inversion_identity_check,
-    resolvent_table,
-    tame_generator,
-)
-from .wild import (
-    WildAlgebra,
-    alpha_valuation_bound,
-    is_omega_invariant,
-    tau_scaling_check,
-    weight_lower_bound,
-    wild_generator,
-    wild_resolvent_identity,
-    wild_unit_resolvents,
-)
+from .groups import ALLOWED_E, ALLOWED_P, MAX_ORDER, FiniteAbelianGroup, element_order
 
 # Largest group order, conductor and residue order a command accepts: a pairing
 # matrix has |G|^2 entries, CycContext(N) holds max(N, 2 phi(N) - 1) rows of
@@ -132,6 +103,9 @@ def _int_list(spec: str) -> tuple:
 
 
 def cmd_pairing(args) -> tuple:
+    import csv
+
+    from .stickelberger import stickelberger_pairing
     group = _parse_group(args.group)
     elements = list(group.elements())
     matrix = [[_frac(stickelberger_pairing(group, chi, s)) for s in elements]
@@ -150,6 +124,7 @@ def cmd_pairing(args) -> tuple:
 
 
 def cmd_kernel_basis(args) -> tuple:
+    from .stickelberger import DetKernelBasis
     group = _parse_group(args.group)
     basis = DetKernelBasis(group)
     result = {"group": group.spec,
@@ -160,6 +135,7 @@ def cmd_kernel_basis(args) -> tuple:
 
 
 def cmd_theta(args) -> tuple:
+    from .stickelberger import DetKernelBasis, det_map, integrality_check, stickelberger_map
     group = _parse_group(args.group)
     psi = _parse_psi(args.psi, group)
     theta = stickelberger_map(group, psi)
@@ -178,6 +154,8 @@ def cmd_theta(args) -> tuple:
 
 
 def cmd_different(args) -> tuple:
+    from .localfield import (RamFiltration, different_valuation, is_weakly_ramified,
+                             sqrt_inverse_different_valuation, validate_abelian_filtration)
     filt = RamFiltration.from_spec(args.filtration)
     v_d = different_valuation(filt)
     try:
@@ -193,6 +171,9 @@ def cmd_different(args) -> tuple:
 
 
 def cmd_tame_gen(args) -> tuple:
+    from .groupring import generator_certificate
+    from .tame import (basis_change_is_unit, inversion_identity_check, resolvent_table,
+                       tame_generator)
     group = _parse_group(args.group)
     s = _parse_element(args.s, group)
     e = args.e
@@ -224,6 +205,9 @@ def cmd_tame_gen(args) -> tuple:
 
 
 def cmd_wild_verify(args) -> tuple:
+    from .wild import (WildAlgebra, alpha_valuation_bound, is_omega_invariant, tau_scaling_check,
+                       weight_lower_bound, wild_generator, wild_resolvent_identity,
+                       wild_unit_resolvents)
     p = args.p
     if p not in ALLOWED_P:
         raise PreconditionError(f"p must be one of {ALLOWED_P}")
@@ -261,6 +245,7 @@ def cmd_wild_verify(args) -> tuple:
 
 
 def cmd_suite(args) -> tuple:
+    from .suite import run_suite
     report = run_suite(max_order=args.max_order,
                        p_list=_int_list(args.p),
                        e_list=_int_list(args.e),

@@ -85,8 +85,8 @@ class CycContext:
     product of two reduced vectors or a Galois image reaches.  Reduction and
     the Galois action read only these, so their cost follows the nonzeros
     of each row (about 4 of 36 for the rows x^k, k >= phi, of Phi_57)
-    rather than phi.  ``xpow[k]`` is the dense vector of zeta^k for
-    0 <= k < N, which roots of unity and discrete logarithms read.
+    rather than phi.  ``zetas[k]`` is the root of unity zeta^k for
+    0 <= k < N, built once per conductor and shared by every reader.
 
     ``inverses`` maps the fields ``(num, den)`` of each non-rational number
     that ``cyc_inverse`` has inverted to its inverse.  Every CycNumber is in
@@ -124,7 +124,7 @@ class CycContext:
                     row[i] += lead * top[i]
             rows.append(tuple(row))
         self.xpow_terms = [tuple((i, c) for i, c in enumerate(row) if c) for row in rows]
-        self.xpow = rows[:n]
+        self.zetas = [_lowest(self, row, 1) for row in rows[:n]]
         self.inverses: dict[tuple[tuple[int, ...], int], CycNumber] = {}
         self._zero = None
         self._one = None
@@ -158,7 +158,7 @@ class CycContext:
         return self._one
 
     def zeta_power(self, k: int) -> "CycNumber":
-        return _lowest(self, self.xpow[k % self.n], 1)
+        return self.zetas[k % self.n]
 
     def from_rational(self, r) -> "CycNumber":
         r = Fraction(r)
@@ -347,7 +347,7 @@ def discrete_log_in_mu(x: CycNumber, n: int) -> int:
     if x.den == 1:
         step = x.ctx.n // n
         for j in range(n):
-            if x.num == x.ctx.xpow[(step * j) % x.ctx.n]:
+            if x.num == x.ctx.zetas[(step * j) % x.ctx.n].num:
                 return j
     raise NotARootError(f"value is not in mu_{n}")
 

@@ -15,6 +15,13 @@ from .errors import InvalidElementError, InvalidGroupError
 
 GroupElement = tuple[int, ...]
 
+# The verification suite's bounds: largest group order, the primes of the
+# wild checks and the ramification degrees of the tame ones.  The CLI parser
+# reads them too, so they live here rather than in ``suite``.
+MAX_ORDER = 27
+ALLOWED_P = (3, 5, 7)
+ALLOWED_E = (3, 5, 7, 9)
+
 
 def prime_factors(n: int) -> dict[int, int]:
     """{p: exponent} by trial division; empty for n < 2."""

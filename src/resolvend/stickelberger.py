@@ -80,12 +80,14 @@ class CharacterTable:
 
     def roots(self, chi: Character, ctx: CycContext) -> list[CycNumber]:
         """chi(s) for every s in ``index`` order, as exact roots of unity at
-        the session conductor, which must hold the order-exp(G) roots."""
+        the session conductor, which must hold the order-exp(G) roots.  The
+        roots are the context's shared ``zetas``; |step c| < N/2, so a
+        negative index reads zeta^(N + step c)."""
         m = self.group.exponent
         if ctx.n % m != 0:
             raise InvalidElementError(f"conductor {ctx.n} lacks order-{m} roots")
-        step = ctx.n // m
-        return [ctx.zeta_power(step * c) for c in self.row(chi)]
+        step, zetas = ctx.n // m, ctx.zetas
+        return [zetas[step * c] for c in self.row(chi)]
 
 
 def pairing_sign() -> int:

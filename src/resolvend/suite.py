@@ -19,7 +19,7 @@ from math import gcd
 from . import faults
 from .cyclotomic import CycAlgebra, CycContext, CycNumber
 from .errors import PreconditionError, ResolvendError
-from .groups import FiniteAbelianGroup
+from .groups import ALLOWED_E, ALLOWED_P, MAX_ORDER, FiniteAbelianGroup
 from .groupring import (
     Resolvend,
     associated_hom,
@@ -74,10 +74,6 @@ from .wild import (
     wild_resolvent_identity,
     wild_unit_resolvents,
 )
-
-MAX_ORDER = 27
-ALLOWED_P = (3, 5, 7)
-ALLOWED_E = (3, 5, 7, 9)
 
 # ramified model constants: smallest prime q = 1 (mod e) avoiding |G| issues
 TAME_Q = {3: 7, 5: 11, 7: 29, 9: 19}

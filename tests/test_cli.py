@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -270,6 +271,88 @@ def test_check_01_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+# -- what each command loads ---------------------------------------------------
+
+PARSER_MODULES = {"cli", "errors", "faults", "groups"}
+STICKELBERGER_MODULES = PARSER_MODULES | {"stickelberger", "cyclotomic", "intlinalg"}
+# (arguments, the package modules a fresh interpreter holds after the command)
+COMMAND_MODULES = [
+    (["pairing", "--group", "27"], STICKELBERGER_MODULES),
+    (["pairing", "--group", "3,9", "--format", "csv"], STICKELBERGER_MODULES),
+    (["kernel-basis", "--group", "3,3,3"], STICKELBERGER_MODULES),
+    (["theta", "--group", "27", "--psi", "1:2,3:-1"], STICKELBERGER_MODULES),
+    (["different", "--filtration", "9,3,3,1"],
+     PARSER_MODULES | {"localfield", "laurent", "cyclotomic"}),
+    (["tame-gen", "--group", "3", "--e", "3", "--q", "7", "--s", "1"],
+     STICKELBERGER_MODULES | {"tame", "groupring", "localfield", "laurent"}),
+    (["wild-verify", "--p", "3"], STICKELBERGER_MODULES | {"wild", "groupring", "laurent"}),
+    (["suite", "--checks", "09"], STICKELBERGER_MODULES | {
+        "suite", "tame", "wild", "groupring", "localfield", "laurent"}),
+]
+
+_LOADED = ("import sys\nfrom resolvend import cli\n"
+           "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+           "sys.stderr.write(' '.join(sorted(name.partition('.')[2] for name in sys.modules\n"
+           "                                 if name.startswith('resolvend.'))))\n"
+           "sys.exit(code)\n")
+
+
+def _run_and_list_modules(argv) -> tuple[bytes, set]:
+    """Stdout of ``cli.main(argv)`` in a fresh interpreter, and the package
+    modules loaded there when it returns."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, set(proc.stderr.decode().split())
+
+
+def test_importing_the_cli_loads_only_the_parser_modules():
+    assert _run_and_list_modules([]) == (b"", PARSER_MODULES)
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(capsys, argv, modules):
+    """A cold command imports what its handler calls and nothing more, and
+    prints the same bytes as the in-process ``main``."""
+    stdout, loaded = _run_and_list_modules(argv)
+    assert loaded == modules
+    assert main(argv) == 0
+    assert stdout == capsys.readouterr().out.encode()
+
+
+# -- the parser ----------------------------------------------------------------
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_help_text_exits_0(capsys):
+    subcommands = list(_subparsers(cli.build_parser()))
+    assert len(subcommands) == 7
+    for argv in [["--help"]] + [[name, "--help"] for name in subcommands]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: resolvend"), argv
+
+
+def test_parser_bounds_are_the_suite_bounds():
+    from resolvend import groups, suite
+
+    assert (suite.MAX_ORDER, suite.ALLOWED_P, suite.ALLOWED_E) == (
+        groups.MAX_ORDER, groups.ALLOWED_P, groups.ALLOWED_E) == (27, (3, 5, 7), (3, 5, 7, 9))
+    parser = cli.build_parser()
+    args = parser.parse_args(["suite"])
+    assert args.max_order == suite.MAX_ORDER
+    assert args.p == ",".join(map(str, suite.ALLOWED_P))
+    assert args.e == ",".join(map(str, suite.ALLOWED_E))
+    (p_option,) = [a for a in _subparsers(parser)["wild-verify"]._actions if a.dest == "p"]
+    assert tuple(p_option.choices) == suite.ALLOWED_P
 
 
 def test_internal_error_exits_3_with_an_envelope(capsys, monkeypatch):

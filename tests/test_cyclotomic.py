@@ -301,7 +301,7 @@ def test_algebra_valuation_and_powers():
 
 def _remainder_mod_phi(vec, poly) -> list[int]:
     """Remainder of an integer polynomial on long division by the monic
-    Phi_N, as phi coefficients; reads neither ``xpow`` nor its sparse rows."""
+    Phi_N, as phi coefficients; reads neither ``zetas`` nor the sparse rows."""
     out = list(vec)
     d = len(poly) - 1
     for k in range(len(out) - 1, d - 1, -1):
@@ -330,11 +330,11 @@ def _galois_by_division(x: CycNumber, k: int) -> CycNumber:
 
 
 def _galois_by_dense_rows(x: CycNumber, k: int) -> CycNumber:
-    """Reference automorphism: the sum of c_j times the dense row xpow[jk]."""
+    """Reference automorphism: the sum of c_j times the root zetas[jk]."""
     ctx = x.ctx
     out = [0] * ctx.phi
     for j, c in enumerate(x.num):
-        row = ctx.xpow[(j * k) % ctx.n]
+        row = ctx.zetas[(j * k) % ctx.n].num
         for i in range(ctx.phi):
             out[i] += c * row[i]
     return CycNumber(ctx, out, x.den)
@@ -384,20 +384,34 @@ def test_sparse_products_match_division_by_phi(n):
 
 @pytest.mark.parametrize("n", PRODUCT_CONDUCTORS)
 def test_sparse_rows_match_division_by_phi(n):
-    """Each sparse row is x^k divided by Phi_N, the dense rows of the roots
-    of unity hold the same entries, and reduction agrees with division."""
+    """Each sparse row is x^k divided by Phi_N, the roots of unity hold the
+    same entries, and reduction agrees with division."""
     ctx = CycContext(n)
-    assert len(ctx.xpow) == n
+    assert len(ctx.zetas) == n
     assert len(ctx.xpow_terms) == max(n, 2 * ctx.phi - 1)
     for k, terms in enumerate(ctx.xpow_terms):
         row = _remainder_mod_phi([0] * k + [1], ctx.poly)
         assert terms == tuple((i, c) for i, c in enumerate(row) if c)
         if k < n:
-            assert ctx.xpow[k] == tuple(row)
+            assert ctx.zetas[k].num == tuple(row)
     rng = random.Random(f"sparse-rows:{n}")
     for length in (1, ctx.phi, ctx.phi + 1, 2 * ctx.phi - 1, len(ctx.xpow_terms)):
         vec = [rng.choice((0, 0, -3, 1, 7)) for _ in range(length)]
         assert list(ctx.reduce(vec)) == _remainder_mod_phi(vec, ctx.poly)
+
+
+def test_roots_of_unity_are_built_once_per_conductor():
+    """Each zetas[k] is x^k divided by Phi_N, over denominator 1, at every odd
+    conductor from 3 to 57; zeta_power and root_of_unity hand out those same
+    objects for any integer exponent, negative ones included."""
+    for n in range(3, 58, 2):
+        ctx = CycContext(n)
+        assert len(ctx.zetas) == n
+        for k, z in enumerate(ctx.zetas):
+            assert (list(z.num), z.den) == (_remainder_mod_phi([0] * k + [1], ctx.poly), 1)
+            assert ctx.zeta_power(k) is z
+            assert ctx.zeta_power(k - 3 * n) is z
+        assert root_of_unity(ctx, n, -1) is ctx.zetas[n - 1]
 
 
 @pytest.mark.parametrize("n", PRODUCT_CONDUCTORS)

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import resolvend
 
@@ -318,3 +322,29 @@ def test_unset_default_rule_catches_each_form():
     other = "from .m import f\nf(0, d=7)\n"
     assert _unset_defaults({"m": code, "n": other}, {"m.exempt"}) == [
         "m.K.m(c)", "m.K.s(b)", "m.f(b)", "m.f(c)"]
+
+
+def _third_party_imports(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules a file imports that are neither in
+    the standard library nor relative nor ``resolvend``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return {name for name in names
+            if name not in sys.stdlib_module_names and name != "resolvend"}
+
+
+def test_test_dependencies_are_declared():
+    """Every third-party module the tests import is in the ``test`` extra of
+    pyproject.toml, which must parse as TOML."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    extra = tomllib.loads((root / "pyproject.toml").read_text())[
+        "project"]["optional-dependencies"]["test"]
+    declared = {re.split(r"[<>=!~\[ ;]", spec, maxsplit=1)[0] for spec in extra}
+    used = set().union(*(_third_party_imports(ast.parse(path.read_text()))
+                         for path in (root / "tests").glob("*.py")))
+    assert used == declared == {"pytest", "hypothesis", "numpy"}
