@@ -251,7 +251,7 @@ def cmd_suite(args) -> tuple:
                        e_list=_int_list(args.e),
                        seed=args.seed,
                        mutate=args.mutate,
-                       checks=args.checks.split(",") if args.checks else None,
+                       checks=None if args.checks is None else args.checks.split(","),
                        timings=args.timings)
     return report.to_json(), report.ok
 

@@ -211,19 +211,23 @@ def unit_certificate(a: Resolvend) -> CertificateReport:
 def transpose_lift(g: Resolvend) -> dict:
     """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
     g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra
-    and <chi, s> = c/exp(G) read from the character table."""
+    and <chi, s> = c/exp(G) read from the character table.  Each power
+    g(s)^(c/exp(G)) is taken once and shared by the characters with that c."""
     group, alg = g.group, g.algebra
     table = CharacterTable(group)
     sign, m = pairing_sign(), group.exponent
     one = alg.one()
-    support = [(j, v) for j, v in enumerate(map(g.value, group.elements()))
+    support = [(j, v, {}) for j, v in enumerate(map(g.value, group.elements()))
                if j and v != one]  # position 0 is the identity
     values = {}
     for chi, row in zip(group.elements(), table.rows):
         acc = one
-        for j, v in support:
-            if row[j]:
-                acc = acc * alg.frac_power(v, Fraction(sign * row[j], m))
+        for j, v, powers in support:
+            c = row[j]
+            if c:
+                if c not in powers:
+                    powers[c] = alg.frac_power(v, Fraction(sign * c, m))
+                acc = acc * powers[c]
         values[chi] = acc
     return values
 

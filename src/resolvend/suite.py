@@ -35,6 +35,7 @@ from .groupring import (
     unit_certificate,
 )
 from .localfield import (
+    PuiseuxElement,
     RamFiltration,
     different_valuation,
     is_weakly_ramified,
@@ -135,6 +136,16 @@ def _entry(check_id: str, identity: str, params: dict, ok: bool,
                       witness if not ok else None)
 
 
+def _below(bits, n: int) -> int:
+    """randrange(n) read from ``bits = rng.getrandbits``: n.bit_length() bits,
+    drawn again until they fall below n, as CPython's randrange draws them."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def odd_abelian_groups(max_order: int):
     """Every abelian group of odd order in [3, max_order], one per
     isomorphism class, as ascending invariant-factor chains."""
@@ -225,6 +236,37 @@ def _exhaustive_mismatch(pair_cols, det_cols, big_l: int):
     return None, 5 ** n
 
 
+# choices((0, 1, 2, 3, 4)) reads two words a, b per draw and takes the digit
+# floor(5.0 * random()), random() = x / 2^53 with x = (a >> 5) 2^26 + (b >> 6).
+# That is 5x >> 53, except where the float product rounds up to 3.  The top
+# byte of a fixes the digit unless some k 2^53 / 5 falls inside its range.
+_LEAD_DIGIT = bytes(255 if t in (51, 102, 153, 204) else 5 * t >> 8 for t in range(256))
+_ROUNDS_UP = ((3 << 53) - 1) // 5
+
+
+def _word_digit(a: int, b: int) -> int:
+    x = a >> 5 << 26 | b >> 6
+    return 3 if x == _ROUNDS_UP else 5 * x >> 53
+
+
+def _digits(rng: random.Random, k: int) -> bytearray:
+    """bytes(rng.choices((0, 1, 2, 3, 4), k=k)) decoded from the same words,
+    which leaves the generator in the same state: 4096 draws per
+    getrandbits call, a word a the low half of each 64 bits."""
+    out = bytearray()
+    for start in range(0, k, 4096):
+        m = min(4096, k - start)
+        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        lead = bytearray(raw[3::8].translate(_LEAD_DIGIT))
+        i = lead.find(255)
+        while i >= 0:
+            lead[i] = _word_digit(int.from_bytes(raw[8 * i:8 * i + 4], "little"),
+                                  int.from_bytes(raw[8 * i + 4:8 * i + 8], "little"))
+            i = lead.find(255, i + 1)
+        out += lead
+    return out
+
+
 def _sampled_mismatch(rng: random.Random, pair_cols, det_cols, big_l: int):
     """(first mismatch or None, count, 8 sample rows) over 10,000 vectors
     drawn uniformly from [-2, 2]^n.  Row r is flat[r n : (r + 1) n], whose
@@ -234,7 +276,7 @@ def _sampled_mismatch(rng: random.Random, pair_cols, det_cols, big_l: int):
     because MAX_ORDER = 27 bounds n and L.  Tables reduce each lane's two
     bytes mod L, and a third compares their sum with 2 sum(col) mod L."""
     n, count = len(pair_cols[0]), 10_000
-    flat = bytes(rng.choices((0, 1, 2, 3, 4), k=count * n))
+    flat = _digits(rng, count * n)
     lanes, digits = bytearray(2 * count), []
     for i in range(n):
         lanes[::2] = flat[i::n]
@@ -261,7 +303,7 @@ def _sampled_mismatch(rng: random.Random, pair_cols, det_cols, big_l: int):
     if differ := not_integral ^ not_trivial:
         k = ((differ & -differ).bit_length() - 1) // 8
         mismatch = (row(k), not not_integral >> 8 * k & 1, not not_trivial >> 8 * k & 1)
-    return mismatch, count, [row(rng.randrange(count)) for _ in range(8)]
+    return mismatch, count, [row(_below(rng.getrandbits, count)) for _ in range(8)]
 
 
 def check_01_integrality(cfg: SuiteConfig):
@@ -278,7 +320,7 @@ def check_01_integrality(cfg: SuiteConfig):
         rng = random.Random(f"{cfg.seed}:integrality:{group.spec}")
         if exhaustive:
             mismatch, checked = _exhaustive_mismatch(pair_cols, det_cols, big_l)
-            sample_vecs = [_psi(rng.randrange(5 ** n), n) for _ in range(8)]
+            sample_vecs = [_psi(_below(rng.getrandbits, 5 ** n), n) for _ in range(8)]
         else:
             mismatch, checked, sample_vecs = _sampled_mismatch(rng, pair_cols, det_cols, big_l)
 
@@ -354,7 +396,7 @@ def check_03_self_duality(cfg: SuiteConfig):
         one = delta_resolvend(group, model, group.identity)
         bad = None
         for trial in range(trials):
-            exps = [rng.randint(-2, 2) for _ in reps]
+            exps = [_below(rng.getrandbits, 5) - 2 for _ in reps]
             values = {s: model.pi_power(exps[orbit_of[s]]) for s in group.elements()}
             values[group.identity] = model.one()
             g = Resolvend(group, model, values)
@@ -607,10 +649,11 @@ def check_07_filtration(cfg: SuiteConfig):
 
 
 def _random_wild(rng: random.Random, alg: WildAlgebra):
-    x = alg.zero()
+    """A sum of three monomials, exponents and power-basis coefficients in [-2, 2]."""
+    bits, x = rng.getrandbits, alg.zero()
     for _ in range(3):
-        exps = [rng.randint(-2, 2) for _ in range(alg.copies * (alg.p - 1))]
-        coeff = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)])
+        exps = [_below(bits, 5) - 2 for _ in range(alg.copies * (alg.p - 1))]
+        coeff = CycNumber(alg.ctx, [_below(bits, 5) - 2 for _ in range(alg.ctx.phi)])
         if not coeff.is_zero():
             x = x + alg.monomial(exps, coeff)
     return x
@@ -709,12 +752,21 @@ def check_09_product(cfg: SuiteConfig):
 
 def _random_cyc(rng: random.Random, ctx: CycContext):
     """Power-basis coefficients in [-2, 2], divided by 2 or 3 a quarter of
-    the time."""
-    c = CycNumber(ctx, [rng.randint(-2, 2) for _ in range(ctx.phi)])
-    n, d = rng.random().as_integer_ratio()  # the draw is n/d exactly; test n/d < 1/4
-    if 4 * n < d:
-        c = c * Fraction(1, rng.choice((2, 3)))
+    the time: random() < 1/4 exactly when its first word is below 2^30."""
+    bits = rng.getrandbits
+    c = CycNumber(ctx, [_below(bits, 5) - 2 for _ in range(ctx.phi)])
+    if bits(64) & 0xC0000000 == 0:
+        c = c * Fraction(1, 2 + _below(bits, 2))
     return c
+
+
+def _random_local(rng: random.Random, model):
+    """One or two terms c pi^(k/3), k in [-3, 3], c from ``_random_cyc``,
+    in a model with e = 3."""
+    bits, x = rng.getrandbits, model.zero()
+    for _ in range(1 + _below(bits, 2)):
+        x = x + PuiseuxElement(model, {_below(bits, 7) - 3: _random_cyc(rng, model.ctx)})
+    return x
 
 
 def check_10_trace(cfg: SuiteConfig):
@@ -741,18 +793,10 @@ def check_10_trace(cfg: SuiteConfig):
 
     model = build_model(3, 7)
     rng = random.Random(f"{cfg.seed}:trace:puiseux")
-
-    def random_local():
-        x = model.zero()
-        for _ in range(rng.randint(1, 2)):
-            x = x + model.monomial(Fraction(rng.randint(-3, 3), 3),
-                                   _random_cyc(rng, model.ctx))
-        return x
-
     bad = None
     for trial in range(pairs):
-        a = Resolvend(group, model, {s: random_local() for s in group.elements()})
-        b = Resolvend(group, model, {s: random_local() for s in group.elements()})
+        a = Resolvend(group, model, {s: _random_local(rng, model) for s in group.elements()})
+        b = Resolvend(group, model, {s: _random_local(rng, model) for s in group.elements()})
         if not trace_pairing_identity_check(a, b):
             bad = trial
             break

@@ -148,12 +148,14 @@ def test_suite_minimal(capsys):
     assert data["result"]["counts"]["fail"] == 0
 
 
-def test_suite_rejects_an_empty_check_prefix(capsys):
-    # "07," ends in an empty prefix, which would otherwise select every check
-    code, out = run_cli(capsys, "suite", "--checks", "07,")
+@pytest.mark.parametrize("checks", ["", ",", "07,"], ids=["empty", "comma", "trailing-comma"])
+def test_suite_rejects_an_empty_check_prefix(capsys, checks):
+    # each of these holds an empty prefix, which would otherwise select every check
+    code, out = run_cli(capsys, "suite", "--checks", checks)
     data = json.loads(out)
     assert code == 2
     assert data["status"] == "error"
+    assert data["result"]["error"] == "an empty check prefix would select every check"
 
 
 def test_suite_mutation_exit_code(capsys):

@@ -44,6 +44,38 @@ def test_float_rule_catches_each_form():
     assert len(_float_uses(ast.parse(code))) == 5
 
 
+DERIVED_RANDOM = {"random", "randint", "randrange", "choice", "choices", "sample",
+                  "shuffle", "uniform"}
+
+
+def _derived_random_calls(tree: ast.AST) -> list[str]:
+    """Calls of the ``random.Random`` methods derived from its 32-bit words,
+    as methods or imported by name.  The random docs promise only random()'s
+    sequence across Python versions, not randint's or choices', so reports
+    read the words themselves through getrandbits."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [f"line {node.lineno}: from random import {alias.name}"
+                      for alias in node.names if alias.name in DERIVED_RANDOM]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DERIVED_RANDOM):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_package_draws_only_generator_words():
+    sources = sorted(Path(resolvend.__file__).parent.glob("*.py"))
+    offences = {path.name: _derived_random_calls(ast.parse(path.read_text())) for path in sources}
+    assert {name: found for name, found in offences.items() if found} == {}
+
+
+def test_derived_random_rule_catches_each_form():
+    calls = "".join(f"rng.{name}(x)\n" for name in sorted(DERIVED_RANDOM))
+    code = calls + "from random import choice, getrandbits\nrandom.random()\nrng.getrandbits(8)\n"
+    assert len(_derived_random_calls(ast.parse(code))) == len(DERIVED_RANDOM) + 2
+
+
 def _numpy_imports(tree: ast.AST) -> list[int]:
     """Lines that import numpy or a numpy submodule in any form: ``import``
     and ``from ... import`` statements anywhere, function bodies included,

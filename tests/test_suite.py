@@ -7,7 +7,7 @@ import json
 import random
 import textwrap
 from fractions import Fraction
-from math import gcd, nextafter
+from math import floor, gcd
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +19,20 @@ from resolvend.errors import PreconditionError
 from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.localfield import LocalModel
+from resolvend.tame import build_model
 from resolvend.stickelberger import CharacterTable, pairing_sign
 from resolvend.suite import (
+    _LEAD_DIGIT,
+    _below,
+    _digits,
     _exhaustive_mismatch,
     _exhaustive_verdicts,
     _integrality_columns,
     _random_cyc,
+    _random_local,
     _random_wild,
     _sampled_mismatch,
+    _word_digit,
     odd_abelian_groups,
     run_suite,
 )
@@ -267,6 +273,57 @@ def test_sampled_sweep_matches_the_numpy_reference(group, seed):
         assert (got[0] is None) == (name == "clean")
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_digits_are_the_choices_draws(seed):
+    """Every sampled order of the default suite: the decoded digits equal
+    rng.choices over (0, ..., 4) on the same key, and both generators end in
+    the same state."""
+    for group in odd_abelian_groups(27):
+        if group.order > 9:
+            fast = random.Random(f"{seed}:integrality:{group.spec}")
+            slow = random.Random(f"{seed}:integrality:{group.spec}")
+            assert _digits(fast, 10_000 * group.order) == bytes(
+                slow.choices((0, 1, 2, 3, 4), k=10_000 * group.order))
+            assert fast.getstate() == slow.getstate()
+
+
+def _choices_digit(a: int, b: int) -> int:
+    """CPython's floor(random() * 5.0) on the two words a, b of one draw."""
+    return floor(((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) * 5.0)
+
+
+def _words(x: int, low: int):
+    """The words a, b whose draw reads x, with the ignored low bits set to low."""
+    return x >> 26 << 5 | low & 31, (x & (1 << 26) - 1) << 6 | low & 63
+
+
+def test_word_digit_matches_the_float_product_at_every_boundary():
+    """50 draws on either side of each k 2^53 / 5, including the one where
+    the rounded product reads 3 and the exact floor 2; every top byte's table
+    entry holds across its whole range, and only the four straddling bytes
+    defer to the full word."""
+    for k in range(1, 5):
+        for x in range(k * 2 ** 53 // 5 - 50, k * 2 ** 53 // 5 + 51):
+            for low in (0, -1):
+                assert _word_digit(*_words(x, low)) == _choices_digit(*_words(x, low))
+    assert _choices_digit(*_words((3 * 2 ** 53 - 1) // 5, 0)) == 3
+    for t, digit in enumerate(_LEAD_DIGIT):
+        ends = {_choices_digit(*_words(x, low)) for x in (t << 45, (t + 1 << 45) - 1)
+                for low in (0, -1)}
+        if t in (51, 102, 153, 204):
+            assert digit == 255 and len(ends) == 2
+        else:
+            assert ends == {digit}
+
+
+def test_below_is_randrange():
+    for n in [*range(1, 71), 5 ** 9]:
+        fast, slow = random.Random(f"below:{n}"), random.Random(f"below:{n}")
+        assert [_below(fast.getrandbits, n) for _ in range(50)] == [
+            slow.randrange(n) for _ in range(50)]
+        assert fast.getstate() == slow.getstate()
+
+
 def test_default_suite_report_bytes_are_pinned():
     expected = json.loads(DIGESTS.read_text())["suite-cold"]["0"]
     text = json.dumps(run_suite(seed=0).to_json(), sort_keys=True, indent=2)
@@ -282,6 +339,14 @@ def _random_cyc_by_sums(rng: random.Random, ctx: CycContext):
     if rng.random() < Fraction(1, 4):
         c = c * Fraction(1, rng.choice((2, 3)))
     return c
+
+
+def _random_local_by_monomials(rng: random.Random, model: LocalModel):
+    """Check 10's Puiseux builder through ``monomial`` and Fraction exponents."""
+    x = model.zero()
+    for _ in range(rng.randint(1, 2)):
+        x = x + model.monomial(Fraction(rng.randint(-3, 3), 3), _random_cyc_by_sums(rng, model.ctx))
+    return x
 
 
 def _random_wild_by_sums(rng: random.Random, alg: WildAlgebra):
@@ -301,7 +366,9 @@ def _random_wild_by_sums(rng: random.Random, alg: WildAlgebra):
     (_random_cyc, _random_cyc_by_sums, lambda: [CycContext(3), CycContext(21)]),
     (_random_wild, _random_wild_by_sums, lambda: [WildAlgebra(3), WildAlgebra(5),
                                                   WildAlgebra(3, copies=2)]),
-], ids=["cyclotomic", "wild"])
+    (_random_local, _random_local_by_monomials, lambda: [build_model(3, 7),
+                                                         build_model(3, 7, conductor=57)]),
+], ids=["cyclotomic", "wild", "puiseux"])
 def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
     """Same values from the same draws in the same order, so the generator
     ends in the same state."""
@@ -312,29 +379,35 @@ def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
             assert fast.getstate() == slow.getstate()
 
 
-class _Draws:
-    """A stand-in generator that replays fixed ``random()`` values."""
+class _Words:
+    """A stand-in generator whose getrandbits replays fixed 32-bit words
+    as CPython's does: k <= 32 bits are a word's top k, 64 bits are two
+    words, the first one low."""
 
-    def __init__(self, values):
-        self.values = list(values)
+    def __init__(self, words):
+        self.words = list(words)
 
-    def randint(self, a, b):
-        return 1
-
-    def random(self):
-        return self.values.pop(0)
-
-    def choice(self, seq):
-        return seq[0]
+    def getrandbits(self, k):
+        if k == 64:
+            return self.words.pop(0) | self.words.pop(0) << 32
+        return self.words.pop(0) >> 32 - k
 
 
 def test_quarter_test_decides_each_draw_exactly():
-    """A denominator exactly when the draw is below 1/4, as the Fraction
-    comparison decides; the float next to 1/4 on either side included."""
+    """A denominator exactly when random() = x / 2^53 would draw below 1/4,
+    as the Fraction comparison decides; the draws next to 1/4 on either side
+    included, and the bits random() ignores set either way.  Coefficient
+    words read 1, the divisor word reads 2."""
     ctx = CycContext(3)
-    below, above = nextafter(0.25, 0), nextafter(0.25, 1)
-    for draw in (0.0, below, 0.25, above, 0.5, nextafter(1.0, 0)):
-        assert (_random_cyc(_Draws([draw]), ctx).den == 2) == (draw < Fraction(1, 4))
+    for x in (0, 2 ** 51 - 1, 2 ** 51, 2 ** 51 + 1, 2 ** 52, 2 ** 53 - 1):
+        for low in (0, -1):
+            words = [3 << 29, 3 << 29, *_words(x, low), 0]
+            assert (_random_cyc(_Words(words), ctx).den == 2) == (Fraction(x, 2 ** 53) < Fraction(1, 4))
+    for i in range(200):
+        real, copy = random.Random(f"words:{i}"), random.Random(f"words:{i}")
+        stub = _Words(copy.getrandbits(32) for _ in range(40))
+        assert _random_cyc(real, ctx) == _random_cyc(stub, ctx)
+        assert real.getrandbits(32) == stub.words[0]
 
 
 def test_check_10_builds_every_number_in_lowest_terms(monkeypatch):
