@@ -45,21 +45,17 @@ def _bounded(name: str, n: int) -> int:
     return n
 
 
-def _parse_group(spec: str) -> FiniteAbelianGroup:
+def _int_list(spec: str, noun: str) -> tuple:
     try:
-        factors = tuple(int(part) for part in spec.split(","))
+        return tuple(int(part) for part in spec.split(","))
     except ValueError:
-        raise PreconditionError(f"group spec {spec!r} is not a comma list of integers")
+        raise PreconditionError(f"{noun} {spec!r} is not a comma list of integers")
+
+
+def _parse_group(spec: str) -> FiniteAbelianGroup:
+    factors = _int_list(spec, "group spec")
     _bounded("group order", prod(abs(d) for d in factors))
     return FiniteAbelianGroup(factors)
-
-
-def _parse_element(spec: str, group: FiniteAbelianGroup):
-    try:
-        coords = tuple(int(part) for part in spec.split(","))
-    except ValueError:
-        raise PreconditionError(f"element spec {spec!r} is not a comma list of integers")
-    return group.element(coords)
 
 
 def _parse_psi(spec: str, group: FiniteAbelianGroup) -> dict:
@@ -90,13 +86,6 @@ def _frac(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _int_list(spec: str) -> tuple:
-    try:
-        return tuple(int(part) for part in spec.split(","))
-    except ValueError:
-        raise PreconditionError(f"{spec!r} is not a comma list of integers")
 
 
 # ------------------------------------------------------------------ commands
@@ -156,7 +145,7 @@ def cmd_theta(args) -> tuple:
 def cmd_different(args) -> tuple:
     from .localfield import (RamFiltration, different_valuation, is_weakly_ramified,
                              sqrt_inverse_different_valuation, validate_abelian_filtration)
-    filt = RamFiltration.from_spec(args.filtration)
+    filt = RamFiltration(_int_list(args.filtration, "filtration"))
     v_d = different_valuation(filt)
     try:
         v_a = sqrt_inverse_different_valuation(filt)
@@ -175,7 +164,7 @@ def cmd_tame_gen(args) -> tuple:
     from .tame import (basis_change_is_unit, inversion_identity_check, resolvent_table,
                        tame_generator)
     group = _parse_group(args.group)
-    s = _parse_element(args.s, group)
+    s = group.element(_int_list(args.s, "element spec"))
     e = args.e
     if element_order(group, s) != e:
         raise PreconditionError(f"element {args.s} has order {element_order(group, s)}, "
@@ -247,8 +236,8 @@ def cmd_wild_verify(args) -> tuple:
 def cmd_suite(args) -> tuple:
     from .suite import run_suite
     report = run_suite(max_order=args.max_order,
-                       p_list=_int_list(args.p),
-                       e_list=_int_list(args.e),
+                       p_list=_int_list(args.p, "p list"),
+                       e_list=_int_list(args.e, "e list"),
                        seed=args.seed,
                        mutate=args.mutate,
                        checks=None if args.checks is None else args.checks.split(","),

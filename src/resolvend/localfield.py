@@ -57,28 +57,8 @@ class RamFiltration:
                 raise PreconditionError(f"orders {a} -> {b} break the subgroup chain")
         self.orders = orders
 
-    @classmethod
-    def from_spec(cls, spec: str) -> "RamFiltration":
-        try:
-            orders = [int(x) for x in spec.split(",")]
-        except ValueError:
-            raise PreconditionError(f"filtration {spec!r} is not a comma list of integers")
-        return cls(orders)
-
     def order_at(self, n: int) -> int:
         return self.orders[n] if n < len(self.orders) else 1
-
-    def __eq__(self, other):
-        return isinstance(other, RamFiltration) and self._key() == other._key()
-
-    def _key(self):
-        orders = list(self.orders)
-        while orders and orders[-1] == 1:
-            orders.pop()
-        return tuple(orders)
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"RamFiltration({','.join(map(str, self.orders))})"
@@ -231,8 +211,8 @@ class LocalModel(LaurentAlgebra):
         return PuiseuxElement(self, {r: galois_apply(c, self.q) for r, c in x.terms.items()})
 
     def galois_twists(self):
-        """(name, character twist, automorphism) for equivariance checks."""
-        return [("sigma", 1, self.sigma), ("phi", self.q, self.phi)]
+        """(name, automorphism) pairs for ``associated_hom``."""
+        return [("sigma", self.sigma), ("phi", self.phi)]
 
     # -- valuation and membership --------------------------------------------
 

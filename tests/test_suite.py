@@ -15,7 +15,7 @@ import pytest
 
 from resolvend import cyclotomic, faults, groupring, suite, tame
 from resolvend.cyclotomic import CycContext, CycNumber
-from resolvend.errors import PreconditionError
+from resolvend.errors import NotInvertibleError, PreconditionError
 from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
 from resolvend.localfield import LocalModel
@@ -25,6 +25,7 @@ from resolvend.suite import (
     _LEAD_DIGIT,
     _below,
     _digits,
+    _entry,
     _exhaustive_mismatch,
     _exhaustive_verdicts,
     _integrality_columns,
@@ -101,6 +102,7 @@ def test_mutation_breaks_targeted_check():
     assert not mutated.ok
     failed = [e for e in mutated.entries if not e.ok]
     assert failed and all(e.witness for e in failed)
+    assert all(e.witness is None for e in mutated.entries if e.ok)
     with pytest.raises(PreconditionError):
         run_suite(mutate="no-such-fault", checks=["07"])
 
@@ -137,6 +139,40 @@ def test_check_04_rejects_a_non_unit_determinant(monkeypatch):
     failed = [e for e in report.entries if not e.ok]
     assert [e.params["aspect"] for e in failed] == ["basis-determinant"]
     assert failed[0].witness == "not a unit at some prime above 7"
+
+
+def test_an_aborted_check_reports_in_place_and_in_check_order(monkeypatch):
+    """An error raised inside check 04 ends that check with one abort entry
+    after the entries it already yielded; the checks run in CHECKS order,
+    not in the order they were asked for."""
+
+    def raising(*args):
+        raise NotInvertibleError("no inverse")
+
+    monkeypatch.setattr(suite, "inversion_identity_check", raising)
+    entries = run_suite(checks=["07", "04"], e_list=(3,)).entries
+    assert [(e.check_id, e.params.get("aspect"), e.status) for e in entries] == [
+        ("04-ramified-generator", "resolvent-table", "pass"),
+        ("04-ramified-generator", None, "fail"),
+        *[("07-filtration-valuations", aspect, "pass")
+          for aspect in ("tame", "wild", "wild", "wild", "negative")]]
+    abort = entries[1]
+    assert abort.identity == "check aborted by a raised error"
+    assert abort.params == {"seed": 0}
+    assert abort.witness == "NotInvertibleError: no inverse"
+    assert [e.params.get("p") for e in entries[3:6]] == [3, 5, 7]
+    assert all(e.witness is None for e in entries if e.ok)
+
+
+def test_entry_keeps_only_a_failing_non_empty_witness():
+    assert _entry("x", "identity", {}, True, "ignored").witness is None
+    assert _entry("x", "identity", {}, True).to_json() == {
+        "check_id": "x", "identity": "identity", "params": {}, "status": "pass"}
+    assert _entry("x", "identity", {}, False, "").witness is None
+    assert "witness" not in _entry("x", "identity", {}, False, "").to_json()
+    assert _entry("x", "identity", {}, False).witness is None
+    assert _entry("x", "identity", {}, False, "first counterexample").witness == (
+        "first counterexample")
 
 
 def test_mutation_sensitivity_check_is_self_contained():
@@ -328,6 +364,18 @@ def test_default_suite_report_bytes_are_pinned():
     expected = json.loads(DIGESTS.read_text())["suite-cold"]["0"]
     text = json.dumps(run_suite(seed=0).to_json(), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# SHA-256 over the concatenated SHA-256 hex digests of the seed-3 report and
+# of the seed-0 report under each fault, in faults.ALL_FAULTS order.
+SEED_3_AND_FAULTS_DIGEST = "7fb306216f3c470073ac0fc5a4c02aa7a3e62c2e94976595aaf243fe677491c8"
+
+
+def test_seed_3_and_faulted_report_bytes_are_pinned():
+    reports = [run_suite(seed=3)] + [run_suite(seed=0, mutate=f) for f in faults.ALL_FAULTS]
+    digests = "".join(hashlib.sha256(json.dumps(r.to_json(), sort_keys=True, indent=2).encode())
+                      .hexdigest() for r in reports)
+    assert hashlib.sha256(digests.encode()).hexdigest() == SEED_3_AND_FAULTS_DIGEST
 
 
 def _random_cyc_by_sums(rng: random.Random, ctx: CycContext):
