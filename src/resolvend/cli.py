@@ -33,9 +33,9 @@ MAX_SIZE = 255
 
 # tame-gen's certificate multiplies e^2 pairs of e-term values: e^4 products
 # in Q(zeta_N) of at most phi(N)^2 integer operations each.  Capping
-# e^4 phi(N)^2 bounds its run time (e = N = 21, 2.8e7, takes 2.8-3.4 s on a
+# e^4 phi(N)^2 bounds its run time (e = N = 21, 2.8e7, takes 0.9-1.2 s on a
 # 2-vCPU machine); the |G|^2 character transforms are bounded by MAX_SIZE
-# (|G| = N = 243: 1.2-1.7 s).
+# (|G| = N = 243: 1.3-1.6 s).
 MAX_TAME_WORK = 3 * 10**7
 
 

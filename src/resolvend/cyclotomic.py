@@ -9,6 +9,8 @@ appear only at the API boundary.  Every CycNumber is kept in lowest terms
 (den > 0, gcd(den, *num) = 1), so equal values have equal fields; a result
 known to be in lowest terms already (integral sums, products and scalings,
 Galois images, roots of unity) is built by ``_lowest`` without the gcd pass.
+A sum of products, ``cyc_dot``, reduces mod Phi_N and normalises once, not
+once per term.
 """
 
 from __future__ import annotations
@@ -459,6 +461,33 @@ def cyc_det(rows) -> CycNumber:
     return det if sign == 1 else -det
 
 
+def cyc_dot(ctx: CycContext, pairs) -> CycNumber:
+    """sum of x * y over the pairs (x, y) of CycNumbers, in one pass: every
+    product lands in one integer vector over one common denominator, which is
+    reduced mod Phi_N and normalised once.  A term whose x.den * y.den differs
+    rescales the vector to the lcm and enters times its cofactor."""
+    n = ctx.n
+    acc = [0] * (2 * ctx.phi - 1)
+    den = 1
+    for x, y in pairs:
+        if x.ctx.n != n or y.ctx.n != n:
+            raise ConductorError(f"conductor mismatch {x.ctx.n}, {y.ctx.n} vs {n}")
+        d = x.den * y.den
+        f = 1
+        if d != den:
+            g = den // gcd(den, d) * d
+            if g != den:
+                acc = [c * (g // den) for c in acc]
+                den = g
+            f = g // d
+        nz = [(j, b * f) for j, b in enumerate(y.num) if b]
+        for i, a in enumerate(x.num):
+            if a:
+                for j, b in nz:
+                    acc[i + j] += a * b
+    return CycNumber(ctx, ctx.reduce(acc), den)
+
+
 def cyc_to_json(x: CycNumber) -> dict:
     return {"N": x.ctx.n, "coeffs": [f"{c.numerator}/{c.denominator}" for c in x.coefficients()]}
 
@@ -490,6 +519,9 @@ class CycAlgebra:
 
     def inv(self, x: CycNumber) -> CycNumber:
         return cyc_inverse(x)
+
+    def dot(self, pairs) -> CycNumber:
+        return cyc_dot(self.ctx, pairs)
 
     def frac_power(self, x: CycNumber, e: Fraction) -> CycNumber:
         e = Fraction(e)

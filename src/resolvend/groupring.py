@@ -16,9 +16,12 @@ The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
 ``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
 algebra of ``wild``.  The algebra object exposes ``ctx`` and
-zero/one/is_zero/inv/frac_power/val, a local model for
-``generator_certificate`` also ``in_base_field``, and the values carry
-exact ring arithmetic.  Inversion always happens pointwise in character space.
+zero/one/is_zero/inv/frac_power/val and ``dot`` (the sum of x * y over a
+list of pairs, a CycNumber y acting as a constant, in one pass), a local
+model for ``generator_certificate`` also ``in_base_field``, and the values
+carry exact ring arithmetic.  Every sum of products here -- convolution,
+resolvents, the trace form -- is one ``dot`` per output value.  Inversion
+always happens pointwise in character space.
 """
 
 from __future__ import annotations
@@ -83,18 +86,14 @@ def involution(r: Resolvend) -> Resolvend:
 
 
 def resolvent(a: Resolvend, chi) -> object:
-    """(a | chi) = sum_s a(s) chi(s)^{-1}, reading one row of chi^{-1}; a value
-    at an s with chi(s) = 1 is added without a product."""
+    """(a | chi) = sum_s a(s) chi(s)^{-1}, reading one row of chi^{-1}, as
+    one ``dot`` over the pairs (a(s), chi(s)^{-1})."""
     alg, group = a.algebra, a.group
     table = CharacterTable(group)
-    row = table.row(chi)  # a character outside the group raises here
+    table.row(chi)  # a character outside the group raises here
     roots = table.roots(group.neg(chi), alg.ctx)
     position = table.position
-    acc = alg.zero()
-    for s, v in a.values.items():
-        j = position(s)
-        acc = acc + (v * roots[j] if row[j] else v)
-    return acc
+    return alg.dot([(v, roots[position(s)]) for s, v in a.values.items()])
 
 
 def to_character_space(r: Resolvend) -> dict:
@@ -126,16 +125,11 @@ def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
     """r(a) r(b)^{[-1]} = sum_s Tr((s.a) b) s^{-1}, both sides computed
     independently: left in the group ring, right through the trace form."""
     lhs = a * involution(b)
-    group, alg = a.group, a.algebra
-    values = {}
-    for s in group.elements():
-        acc = alg.zero()
-        for t, bt in b.values.items():
-            at_ts = a.values.get(group.add(t, s))  # (s . a)(t) = a(t s)
-            if at_ts is not None:
-                acc = acc + at_ts * bt
-        values[s] = acc
-    rhs = Resolvend(group, alg, values)
+    group, alg, av = a.group, a.algebra, a.values
+    # (s . a)(t) = a(t s)
+    rhs = Resolvend(group, alg, {
+        s: alg.dot([(av[ts], bt) for t, bt in b.values.items() if (ts := group.add(t, s)) in av])
+        for s in group.elements()})
     return lhs == rhs
 
 
@@ -233,15 +227,14 @@ def transpose_lift(g: Resolvend) -> dict:
 
 
 def resolvend_product_transport(a1: Resolvend, a2: Resolvend) -> Resolvend:
-    """r(a1) r(a2), which is r(a) for the convolution a of a1 and a2 on G."""
+    """r(a1) r(a2), which is r(a) for the convolution a of a1 and a2 on G:
+    the pairs (a1(s1), a2(s2)) bucketed by s1 + s2, one ``dot`` per bucket."""
     group, alg = a1.group, a1.algebra
-    out: dict = {}
+    buckets: dict = {}
     for s1, v1 in a1.values.items():
         for s2, v2 in a2.values.items():
-            s = group.add(s1, s2)
-            prod = v1 * v2
-            out[s] = out[s] + prod if s in out else prod
-    return Resolvend(group, alg, out)
+            buckets.setdefault(group.add(s1, s2), []).append((v1, v2))
+    return Resolvend(group, alg, {s: alg.dot(pairs) for s, pairs in buckets.items()})
 
 
 def reduced_equal(r1: Resolvend, r2: Resolvend, basis: DetKernelBasis) -> bool:

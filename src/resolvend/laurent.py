@@ -19,22 +19,27 @@ whose coefficients are nonzero by construction skip the filter of
 ``__init__`` through ``_trusted``: a sum drops a key only where two
 coefficients cancel, and a product with a one-term factor (or a nonzero
 scalar) has neither key collisions nor zero coefficients, because
-Q(zeta_N) is a field.  Only a product of two multi-term factors filters.
+Q(zeta_N) is a field.  Only ``dot`` filters: a sum of products, such as
+the product of two multi-term factors, buckets its coefficient products by
+the key of each product and sums each bucket with one ``cyc_dot``, so each
+coefficient is reduced mod Phi_N and normalised once, and a key whose sum
+cancels is dropped.
 
 An algebra subclass supplies ``element`` (its element class), ``ctx``,
-``key_type`` (turns a caller's exponent into a key), ``unit_key`` (the key
-of the constants), ``name`` (for error messages) and ``scale_key`` (the key
-of the e-th power of a monomial, with FractionalPowerError when it leaves
-the lattice).  An element subclass drops zero terms in ``__init__`` (the
-wild element also checks the key's arity) and defines ``__add__`` and
-``__mul__`` on itself, so that each stays a function of its own.
+``key_type`` (turns a caller's exponent into a key), ``key_sum`` (adds two
+keys), ``unit_key`` (the key of the constants), ``name`` (for error
+messages) and ``scale_key`` (the key of the e-th power of a monomial, with
+FractionalPowerError when it leaves the lattice).  An element subclass
+drops zero terms in ``__init__`` (the wild element also checks the key's
+arity) and defines ``__add__`` and ``__mul__`` on itself, so that each
+stays a function of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNumber, cyc_inverse, cyc_root
+from .cyclotomic import CycNumber, cyc_dot, cyc_inverse, cyc_root
 from .errors import ConductorError, FractionalPowerError, NotInvertibleError, PreconditionError
 
 
@@ -131,22 +136,17 @@ def _scaled(x: LaurentElement, c) -> LaurentElement:
     return _trusted(alg, {k: a * c for k, a in x.terms.items()})
 
 
-def _product(x: LaurentElement, y: LaurentElement, key_sum) -> LaurentElement:
-    """x * y term by term; ``key_sum`` adds two keys of the algebra."""
+def _product(x: LaurentElement, y: LaurentElement) -> LaurentElement:
+    """x * y term by term."""
     alg = x.algebra
+    key_sum = alg.key_sum
     if len(y.terms) == 1:
         (k2, c2), = y.terms.items()
         return _trusted(alg, {key_sum(k1, k2): c1 * c2 for k1, c1 in x.terms.items()})
     if len(x.terms) == 1:
         (k1, c1), = x.terms.items()
         return _trusted(alg, {key_sum(k1, k2): c1 * c2 for k2, c2 in y.terms.items()})
-    terms: dict = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            k = key_sum(k1, k2)
-            c = c1 * c2
-            terms[k] = terms[k] + c if k in terms else c
-    return alg.element(alg, terms)
+    return alg.dot([(x, y)])
 
 
 class LaurentAlgebra:
@@ -171,6 +171,26 @@ class LaurentAlgebra:
 
     def is_zero(self, x) -> bool:
         return not x.terms
+
+    def dot(self, pairs):
+        """sum of x * y over the pairs (x, y), y an element or a CycNumber
+        constant: one ``cyc_dot`` per key of the product, a lone product where
+        only one pair of coefficients meets at a key."""
+        key_sum, unit = self.key_sum, self.unit_key
+        buckets: dict = {}
+        for x, y in pairs:
+            ys = y.terms.items() if isinstance(y, LaurentElement) else ((unit, y),)
+            if x.algebra is not self or getattr(y, "algebra", self) is not self:
+                raise PreconditionError("mixed local models")
+            for k1, c1 in x.terms.items():
+                for k2, c2 in ys:
+                    buckets.setdefault(key_sum(k1, k2), []).append((c1, c2))
+        terms = {}
+        for k, cs in buckets.items():
+            c = cs[0][0] * cs[0][1] if len(cs) == 1 else cyc_dot(self.ctx, cs)
+            if not c.is_zero():
+                terms[k] = c
+        return _trusted(self, terms)
 
     def inv(self, x):
         if len(x.terms) != 1:

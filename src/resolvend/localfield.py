@@ -130,7 +130,7 @@ class PuiseuxElement(LaurentElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _product(self, o, add)
+        return _product(self, o)
 
     __rmul__ = __mul__
 
@@ -150,6 +150,7 @@ class LocalModel(LaurentAlgebra):
     """
 
     element = PuiseuxElement
+    key_sum = add
     unit_key = 0
     name = "finite model"
     _cache: dict = {}

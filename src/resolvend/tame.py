@@ -153,10 +153,9 @@ def inversion_identity_check(a: Resolvend, s: GroupElement) -> bool:
     lo = (1 - e) // 2
     conj = _conjugates(a, s)
     for l in range(e):
-        acc = model.zero()
-        for i in range(e):
-            acc = acc + conj[i] * root_of_unity(model.ctx, e, -(l + lo) * i)
-        if acc != model.pi_power(Fraction(l + lo, e)):
+        twisted = model.dot([(conj[i], root_of_unity(model.ctx, e, -(l + lo) * i))
+                             for i in range(e)])
+        if twisted != model.pi_power(Fraction(l + lo, e)):
             return False
     return True
 
@@ -316,9 +315,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     # ambient group because resolvents there only see the restriction to <t>
     habs = FiniteAbelianGroup((m,))
     for cand in _search_candidates(r, SEARCH_BOUND, SEARCH_SUPPORT):
-        theta = alg.zero()
-        for j, coeff in cand:
-            theta = theta + root_of_unity(ctx, r, j) * coeff
+        theta = alg.dot([(root_of_unity(ctx, r, j), ctx.from_rational(coeff)) for j, coeff in cand])
         values = {}
         current = theta
         for i in range(m):

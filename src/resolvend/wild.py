@@ -81,7 +81,7 @@ class WildElement(LaurentElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _product(self, o, _key_sum)
+        return _product(self, o)
 
     __rmul__ = __mul__
 
@@ -100,6 +100,7 @@ class WildAlgebra(LaurentAlgebra):
 
     element = WildElement
     key_type = tuple
+    key_sum = staticmethod(_key_sum)
     name = "formal algebra"
     _cache: dict = {}
 

@@ -13,6 +13,7 @@ from resolvend.cyclotomic import (
     _bareiss_inverse,
     content_ord,
     cyc_det,
+    cyc_dot,
     cyc_inverse,
     cyc_to_json,
     cyclotomic_polynomial,
@@ -539,3 +540,42 @@ def test_algebra_val_is_only_a_lower_bound():
     assert x * y == ctx.from_rational(7)
     assert alg.val(x) == alg.val(y) == 0
     assert alg.val(x * y) == 1
+
+
+@st.composite
+def dot_pairs(draw):
+    """Up to six pairs at one odd conductor in 3..57, with denominators 1..12,
+    each operand rational or not."""
+    ctx = CycContext(draw(st.sampled_from(range(3, 58, 2))))
+
+    def operand():
+        den = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            return ctx.from_rational(Fraction(draw(st.integers(-6, 6)), den))
+        return CycNumber(ctx, draw(st.lists(st.integers(-4, 4), min_size=ctx.phi,
+                                            max_size=ctx.phi)), den)
+
+    return ctx, [(operand(), operand()) for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_pairs())
+def test_dot_matches_the_fold_of_products(data):
+    """One pass over a common denominator equals the running sum of lone
+    products, field by field, so the result is in lowest terms."""
+    ctx, pairs = data
+    want = ctx.zero()
+    for x, y in pairs:
+        want = want + x * y
+    for got in (cyc_dot(ctx, pairs), CycAlgebra(ctx).dot(pairs)):
+        assert _fields(got) == _fields(want)
+
+
+def test_dot_of_nothing_is_zero_and_mixed_conductors_raise():
+    ctx = CycContext(9)
+    assert _fields(cyc_dot(ctx, [])) == _fields(ctx.zero())
+    x = ctx.zeta_power(1)
+    assert _fields(cyc_dot(ctx, [(x, x), (-x, x)])) == _fields(ctx.zero())
+    for pair in ((x, CycContext(3).one()), (CycContext(27).one(), x)):
+        with pytest.raises(ConductorError):
+            cyc_dot(ctx, [pair])

@@ -26,8 +26,9 @@ from resolvend.groupring import (
     unit_certificate,
 )
 from resolvend.localfield import LocalModel
-from resolvend.stickelberger import DetKernelBasis
+from resolvend.stickelberger import CharacterTable, DetKernelBasis
 from resolvend.suite import odd_abelian_groups
+from resolvend.wild import WildAlgebra
 
 C3 = FiniteAbelianGroup((3,))
 C9 = FiniteAbelianGroup((9,))
@@ -386,6 +387,88 @@ def test_trace_check_matches_the_translate_oracle(monkeypatch):
                 assert trace_pairing_identity_check(a, b)
                 want = _trace_side_by_translates(a, b)
                 assert want == a * involution(b)
+                off = Resolvend(group, alg, {**want.values,
+                                             group.identity: want.value(group.identity) + 1})
+                for lhs, verdict in ((want, True), (off, False)):
+                    monkeypatch.setattr(groupring, "resolvend_product_transport",
+                                        lambda x, y, lhs=lhs: lhs)
+                    assert trace_pairing_identity_check(a, b) is verdict
+                monkeypatch.undo()
+
+
+def _resolvent_by_loop(a: Resolvend, chi) -> object:
+    """(a | chi) by the running sum that ``resolvent`` ran before it made one
+    ``dot``, kept verbatim as an oracle."""
+    alg, group = a.algebra, a.group
+    table = CharacterTable(group)
+    row = table.row(chi)  # a character outside the group raises here
+    roots = table.roots(group.neg(chi), alg.ctx)
+    position = table.position
+    acc = alg.zero()
+    for s, v in a.values.items():
+        j = position(s)
+        acc = acc + (v * roots[j] if row[j] else v)
+    return acc
+
+
+def _product_by_loop(a1: Resolvend, a2: Resolvend) -> Resolvend:
+    """r(a1) r(a2) by the running sums that ``resolvend_product_transport``
+    ran before it bucketed its pairs, kept verbatim as an oracle."""
+    group, alg = a1.group, a1.algebra
+    out: dict = {}
+    for s1, v1 in a1.values.items():
+        for s2, v2 in a2.values.items():
+            s = group.add(s1, s2)
+            prod = v1 * v2
+            out[s] = out[s] + prod if s in out else prod
+    return Resolvend(group, alg, out)
+
+
+def _trace_side_by_loop(a: Resolvend, b: Resolvend) -> Resolvend:
+    """sum_s Tr((s.a) b) s^{-1} by the running sums that the trace check ran
+    before it made one ``dot`` per s, kept verbatim as an oracle."""
+    group, alg = a.group, a.algebra
+    values = {}
+    for s in group.elements():
+        acc = alg.zero()
+        for t, bt in b.values.items():
+            at_ts = a.values.get(group.add(t, s))  # (s . a)(t) = a(t s)
+            if at_ts is not None:
+                acc = acc + at_ts * bt
+        values[s] = acc
+    return Resolvend(group, alg, values)
+
+
+def _value_over_a_denominator(rng: random.Random, alg):
+    """A random value of any of the three algebras, over 1, 2, 3, 4 or 6."""
+    if isinstance(alg, WildAlgebra):
+        v = alg.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(-1, 1) for _ in range(alg.nvars))
+            v = v + alg.monomial(exps, random_cyc(rng, alg.ctx))
+    else:
+        v = random_value(rng, alg)
+    return v * Fraction(1, rng.choice((1, 2, 3, 4, 6)))
+
+
+def test_sums_of_products_match_their_running_sum_loops(monkeypatch):
+    """Resolvents, the convolution and the trace side, each a ``dot`` per
+    output value, equal the loops they replaced over Q(zeta_9), a Puiseux
+    model and the wild algebra, with sparse maps over mixed denominators."""
+    rng = random.Random("running-sum-loops")
+    for alg, groups in ((CycAlgebra(CycContext(9)), (C3, C9, C33)),
+                        (LocalModel(3, 7, 9), (C3, C9, C33)),
+                        (WildAlgebra(3), (C3, C33))):
+        for group in groups:
+            for _ in range(4):
+                a, b = (Resolvend(group, alg, {s: _value_over_a_denominator(rng, alg)
+                                               for s in group.elements() if rng.randrange(3)})
+                        for _ in range(2))
+                for chi in group.elements():
+                    assert resolvent(a, chi) == _resolvent_by_loop(a, chi)
+                assert resolvend_product_transport(a, b) == _product_by_loop(a, b)
+                # the check passes exactly when its product side equals the oracle
+                want = _trace_side_by_loop(a, b)
                 off = Resolvend(group, alg, {**want.values,
                                              group.identity: want.value(group.identity) + 1})
                 for lhs, verdict in ((want, True), (off, False)):

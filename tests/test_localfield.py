@@ -500,3 +500,41 @@ def test_scalar_products_keep_their_errors():
         model.one() * LocalModel(3, 7, 57).pi_power(1)
     with pytest.raises(TypeError):
         model.one() * 0.5
+
+
+# ---------------------------------------------------------------------------
+# sums of products in one pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_pairs(count=4), st.data())
+def test_dot_matches_the_fold_of_products(data, draws):
+    """``dot`` equals the running sum of products and the reference fold; a
+    CycNumber second operand is a constant."""
+    model, elems = data
+    c = draws.draw(coefficients(model))
+    pairs = [(elems[0], elems[1]), (elems[2], elems[3]),
+             (elems[1], (c, RefPuiseux(model, {0: c}))), (elems[3], elems[0])]
+    got = model.dot([(x, y) for (x, _), (y, _) in pairs])
+    want, ref = model.zero(), RefPuiseux(model, {})
+    for (x, rx), (y, ry) in pairs:
+        want, ref = want + x * y, ref + rx * ry
+    assert got.terms == want.terms
+    assert_same(got, ref)
+
+
+def test_dot_drops_cancelled_keys_and_keeps_its_errors():
+    model = LocalModel(3, 7, 9)
+    t = model.pi_power(Fraction(1, 3))
+    # (t + 1) t - t t = t: the key of t^2 cancels
+    assert model.dot([(t + 1, t), (-t, t)]).terms == {1: model.ctx.one()}
+    assert model.is_zero(model.dot([(t + 1, t - 1), (-(t + 1), t - 1)]))
+    assert model.is_zero(model.dot([]))
+    with pytest.raises(PreconditionError, match="mixed local models"):
+        model.dot([(t, LocalModel(3, 7, 57).pi_power(1))])
+    with pytest.raises(PreconditionError, match="mixed local models"):
+        model.dot([(LocalModel(3, 7, 57).pi_power(1), t)])
+    foreign = CycContext(5).one()
+    for pairs in ([(t, foreign)], [(t + 1, foreign), (t, foreign)]):
+        with pytest.raises(ConductorError):
+            model.dot(pairs)

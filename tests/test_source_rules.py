@@ -176,6 +176,58 @@ def test_trusted_rule_catches_each_form():
         "m:1", "m:3", "m:4", "m:5"]
 
 
+
+def _has_product(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(node))
+
+
+def _accumulated_products(tree: ast.AST) -> list[str]:
+    """Statements that add a product into a running value: ``acc += x * y``,
+    and ``acc = acc + x * y`` or ``out[k] = out[k] + x * y`` with the running
+    value on either side of the ``+`` and the product anywhere in the other
+    operand (a conditional included).  A product of accumulators and a sum
+    without a product are not matched."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            if isinstance(node.op, ast.Add) and _has_product(node.value):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = ast.unparse(node.targets[0])
+            if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add) and any(
+                    ast.unparse(side) == target and _has_product(other)
+                    for side, other in ((n.left, n.right), (n.right, n.left)))
+                   for n in ast.walk(node.value)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_sums_of_products_go_through_dot():
+    """In the group-ring layer, the Laurent core and the tame checks, a sum of
+    products is one ``dot``, which reduces mod Phi_N and normalises each
+    output coefficient once, never a running sum of products."""
+    root = Path(resolvend.__file__).parent
+    offences = {name: _accumulated_products(ast.parse((root / name).read_text()))
+                for name in ("groupring.py", "laurent.py", "tame.py")}
+    assert {name: found for name, found in offences.items() if found} == {}
+
+
+def test_accumulated_product_rule_catches_each_form():
+    code = ("acc = acc + x * y\n"
+            "acc = x * y + acc\n"
+            "acc += x * y\n"
+            "out[k] = out[k] + x * y\n"
+            "acc = acc + (v * r if flag else v)\n"
+            "out[s] = out[s] + v1 * v2 if s in out else v1 * v2\n"
+            "acc = acc * powers[c]\n"
+            "acc = acc + model.pi_power(k)\n"
+            "acc += 1\n"
+            "other = acc + x * y\n"
+            "acc = alg.dot([(x, y)])\n")
+    assert [f.split(":")[0] for f in _accumulated_products(ast.parse(code))] == [
+        f"line {n}" for n in range(1, 7)]
+
+
 def _public_defs(module: str, tree: ast.Module):
     """(dotted path, node, is_method) of each public module-level function
     or class and each public method of a module-level class."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resolvend import cyclotomic, faults, groupring, suite, tame
+from resolvend import cyclotomic, faults, groupring, laurent, suite, tame
 from resolvend.cyclotomic import CycContext, CycNumber
 from resolvend.errors import NotInvertibleError, PreconditionError
 from resolvend.groupring import Resolvend, involution
@@ -573,3 +573,41 @@ def test_checks_05_and_06_fail_on_a_corrupted_phi_57_row(fresh_interning):
     report = run_suite(checks=["05", "06"])
     assert {e.check_id for e in report.entries if not e.ok} == {
         "05-decompose-roundtrip", "06-transport-closure"}
+
+
+def _patch_cyc_dot(monkeypatch, exact: str, faulty: str):
+    """Compile ``cyc_dot`` from its own source with ``exact`` replaced by
+    ``faulty`` and patch it into both modules that call it."""
+    source = inspect.getsource(cyclotomic.cyc_dot)
+    assert source.count(exact) == 1
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source.replace(exact, faulty)), cyclotomic.__file__, "exec"),
+         vars(cyclotomic), namespace)
+    for module in (cyclotomic, laurent):
+        monkeypatch.setattr(module, "cyc_dot", namespace["cyc_dot"])
+
+
+def test_check_04_fails_when_a_sum_of_products_skips_the_reduction(
+        monkeypatch, fresh_interning):
+    """``cyc_dot`` keeping only the first phi entries of its accumulator, so
+    no power of zeta at or above phi is reduced mod Phi_N, fails check 04's
+    resolvent table at the first nontrivial character.  Check 10 is blind to
+    this fault: both of its sides sum through the same ``dot``, and the
+    truncation is still bilinear."""
+    _patch_cyc_dot(monkeypatch, "CycNumber(ctx, ctx.reduce(acc), den)",
+                   "CycNumber(ctx, tuple(acc[:ctx.phi]), den)")
+    failed = [(e.params.get("aspect"), e.witness) for e in
+              run_suite(checks=["04"], e_list=(3,)).entries if not e.ok]
+    assert ("resolvent-table", "character (1,)") in failed
+
+
+def test_check_10_fails_when_a_sum_of_products_skips_the_rescale(
+        monkeypatch, fresh_interning):
+    """``cyc_dot`` moving to a new common denominator without rescaling the
+    accumulator fails both check-10 entries.  Check 04 is blind to this
+    fault: within each of its sums every product has the same denominator,
+    so the accumulator is never rescaled."""
+    _patch_cyc_dot(monkeypatch, "acc = [c * (g // den) for c in acc]", "pass")
+    entries = run_suite(checks=["10"]).entries
+    assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
+        ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 2")]

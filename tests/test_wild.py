@@ -382,3 +382,32 @@ def test_wild_products_keep_their_errors():
         alg.y(1) * alg.monomial((1, 0, 2), alg.ctx.one())
     with pytest.raises(PreconditionError, match="wrong arity"):
         alg.element(alg, {(1,): alg.ctx.one()})
+
+
+@pytest.mark.parametrize("p, copies", [(3, 1), (3, 2), (5, 1)])
+def test_dot_matches_the_fold_of_products(p, copies):
+    """``dot`` equals the running sum of products and the reference fold; a
+    CycNumber second operand is a constant."""
+    alg = WildAlgebra(p, copies)
+    rng = random.Random(f"wild-dot:{p}:{copies}")
+    for _ in range(20):
+        xs = [_random_pair(rng, alg, rng.randint(0, 4)) for _ in range(4)]
+        c = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)],
+                      rng.choice((1, 2, 3)))
+        pairs = [(xs[0], xs[1]), (xs[2], xs[3]), (xs[1], (c, c)), (xs[3], xs[0])]
+        got = alg.dot([(x, y) for (x, _), (y, _) in pairs])
+        want, ref = alg.zero(), RefWild(alg, {})
+        for (x, rx), (y, ry) in pairs:
+            want, ref = want + x * y, ref + rx * ry
+        assert got.terms == want.terms == ref.terms
+
+
+def test_dot_drops_cancelled_keys():
+    alg = WildAlgebra(3)
+    y1, y2 = alg.y(1), alg.y(2)
+    # (y1 + y2) y1 - y1 y1 = y1 y2: the key of y1^2 cancels
+    assert alg.dot([(y1 + y2, y1), (-y1, y1)]).terms == (y1 * y2).terms
+    assert alg.is_zero(alg.dot([(y1 + y2, y2 - 1), (-(y1 + y2), y2 - 1)]))
+    assert alg.is_zero(alg.dot([]))
+    with pytest.raises(PreconditionError, match="mixed local models"):
+        alg.dot([(y1, WildAlgebra(3, 2).y(1))])
