@@ -44,7 +44,7 @@ def invariant_factors(factors) -> tuple[int, ...]:
         raise InvalidGroupError("empty factor list")
     for d in factors:
         if d < 2:
-            raise InvalidGroupError(f"cyclic factor {d} is trivial")
+            raise InvalidGroupError(f"cyclic factor {d} is below 2")
         if d % 2 == 0:
             raise InvalidGroupError(f"cyclic factor {d} is even")
     # collect prime power columns, largest into the last invariant factor

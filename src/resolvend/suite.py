@@ -241,41 +241,27 @@ def _exhaustive_mismatch(pair_cols, det_cols, big_l: int):
     return None, 5 ** n
 
 
-# choices((0, 1, 2, 3, 4)) reads two words a, b per draw and takes the digit
-# floor(5.0 * random()), random() = x / 2^53 with x = (a >> 5) 2^26 + (b >> 6).
-# That is 5x >> 53, except where the float product rounds up to 3.  The top
-# byte of a fixes the digit unless some k 2^53 / 5 falls inside its range.
-_LEAD_DIGIT = bytes(255 if t in (51, 102, 153, 204) else 5 * t >> 8 for t in range(256))
-_ROUNDS_UP = ((3 << 53) - 1) // 5
-
-
-def _word_digit(a: int, b: int) -> int:
-    x = a >> 5 << 26 | b >> 6
-    return 3 if x == _ROUNDS_UP else 5 * x >> 53
+_DIGIT = bytes(b % 5 for b in range(256))
+_OVERHANG = bytes(range(250, 256))
 
 
 def _digits(rng: random.Random, k: int) -> bytearray:
-    """bytes(rng.choices((0, 1, 2, 3, 4), k=k)) decoded from the same words,
-    which leaves the generator in the same state: 4096 draws per
-    getrandbits call, a word a the low half of each 64 bits."""
+    """k digits uniform in [0, 5), read from generator bytes: each byte
+    below 250 is its residue mod 5, the six above are dropped, and a short
+    read is topped up from fresh bytes.  A passing check-01 entry reports no
+    row, so its bytes do not depend on which rows this draws."""
     out = bytearray()
-    for start in range(0, k, 4096):
-        m = min(4096, k - start)
-        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-        lead = bytearray(raw[3::8].translate(_LEAD_DIGIT))
-        i = lead.find(255)
-        while i >= 0:
-            lead[i] = _word_digit(int.from_bytes(raw[8 * i:8 * i + 4], "little"),
-                                  int.from_bytes(raw[8 * i + 4:8 * i + 8], "little"))
-            i = lead.find(255, i + 1)
-        out += lead
+    while len(out) < k:
+        m = k - len(out)
+        out += rng.getrandbits(8 * m).to_bytes(m, "little").translate(_DIGIT, _OVERHANG)
+    del out[k:]
     return out
 
 
 def _sampled_mismatch(rng: random.Random, pair_cols, det_cols, big_l: int):
-    """(first mismatch or None, count, 8 sample rows) over 10,000 vectors
-    drawn uniformly from [-2, 2]^n.  Row r is flat[r n : (r + 1) n], whose
-    bytes are the digits b = psi + 2.  Digit i of all rows is packed into one
+    """(first mismatch or None, count) over 10,000 vectors drawn uniformly
+    from [-2, 2]^n.  Row r is flat[r n : (r + 1) n], whose bytes are the
+    digits b = psi + 2.  Digit i of all rows is packed into one
     int with 16-bit lanes, so b @ col for every row is one sum of scalar
     multiples of n ints, and a lane holds at most 27 * 4 * 26 < 2^16 only
     because MAX_ORDER = 27 bounds n and L.  Tables reduce each lane's two
@@ -300,22 +286,21 @@ def _sampled_mismatch(rng: random.Random, pair_cols, det_cols, big_l: int):
             out |= int.from_bytes(residue.to_bytes(count, "little").translate(differs), "little")
         return out
 
-    def row(r: int) -> list[int]:
-        return [b - 2 for b in flat[r * n:(r + 1) * n]]
-
     not_integral, not_trivial = failing(pair_cols), failing(det_cols)
     mismatch = None
     if differ := not_integral ^ not_trivial:
         k = ((differ & -differ).bit_length() - 1) // 8
-        mismatch = (row(k), not not_integral >> 8 * k & 1, not not_trivial >> 8 * k & 1)
-    return mismatch, count, [row(_below(rng.getrandbits, count)) for _ in range(8)]
+        mismatch = ([b - 2 for b in flat[k * n:(k + 1) * n]],
+                    not not_integral >> 8 * k & 1, not not_trivial >> 8 * k & 1)
+    return mismatch, count
 
 
 def check_01_integrality(cfg: SuiteConfig):
     """Integrality of the image group-ring element is equivalent to
     triviality of the determinant character, for coefficients in [-2, 2], in
-    integers: exhaustive for |G| <= 9, 10,000 seeded draws beyond, and 8
-    sample rows cross-checked against ``integrality_check`` and ``det_map``."""
+    integers: exhaustive for |G| <= 9, 10,000 seeded draws beyond.  Without
+    a mismatch, 8 rows drawn after the sweep are cross-checked against
+    ``integrality_check`` and ``det_map``, in both modes."""
     identity = ("a character combination has integral image coefficients "
                 "exactly when its determinant character is trivial")
     for group in odd_abelian_groups(cfg.max_order):
@@ -325,15 +310,15 @@ def check_01_integrality(cfg: SuiteConfig):
         rng = random.Random(f"{cfg.seed}:integrality:{group.spec}")
         if exhaustive:
             mismatch, checked = _exhaustive_mismatch(pair_cols, det_cols, big_l)
-            sample_vecs = [_psi(_below(rng.getrandbits, 5 ** n), n) for _ in range(8)]
         else:
-            mismatch, checked, sample_vecs = _sampled_mismatch(rng, pair_cols, det_cols, big_l)
+            mismatch, checked = _sampled_mismatch(rng, pair_cols, det_cols, big_l)
 
         if mismatch is not None:
             witness = f"psi={mismatch[0]}: integral={mismatch[1]} but det trivial={mismatch[2]}"
         else:
             witness = None
-            for vec in sample_vecs:
+            rows = _digits(rng, 8 * n)
+            for vec in ([b - 2 for b in rows[i:i + n]] for i in range(0, 8 * n, n)):
                 psi = {chi: c for chi, c in zip(chars, vec) if c}
                 scalar_integral = integrality_check(group, psi)
                 scalar_trivial = det_map(group, psi) == group.identity

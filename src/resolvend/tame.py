@@ -212,6 +212,8 @@ def recompose(u: Resolvend, s: GroupElement) -> Resolvend:
 
 
 def _ord_mod(q: int, r: int) -> int:
+    if r < 2:
+        raise PreconditionError(f"modulus {r} is below 2")
     if math.gcd(q, r) != 1:
         raise PreconditionError(f"gcd({q}, {r}) != 1")
     k, acc = 1, q % r
@@ -226,20 +228,11 @@ def _search_candidates(r: int, bound: int, max_support: int):
     then lexicographically; deterministic."""
     for weight in range(1, bound * max_support + 1):
         for size in range(1, max_support + 1):
+            weighted = [m for m in product(range(1, bound + 1), repeat=size) if sum(m) == weight]
             for positions in combinations(range(r), size):
-                for mags in _compositions(weight, size, bound):
+                for mags in weighted:
                     for signs in product((1, -1), repeat=size):
                         yield tuple(zip(positions, (m * s for m, s in zip(mags, signs))))
-
-
-def _compositions(total: int, parts: int, bound: int):
-    if parts == 1:
-        if 1 <= total <= bound:
-            yield (total,)
-        return
-    for first in range(1, min(bound, total - parts + 1) + 1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
 
 
 def _fp_coprime_to_minpoly(coeffs: list, base: list, p: int) -> bool:

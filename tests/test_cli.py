@@ -184,6 +184,16 @@ def test_domain_error_exit_2(capsys):
     assert data["status"] == "error"
 
 
+@pytest.mark.parametrize("spec, factor", [("3,-3", "-3"), ("0", "0"), ("1", "1")],
+                         ids=["negative", "zero", "one"])
+def test_a_factor_below_2_exits_2_and_says_so(capsys, spec, factor):
+    code, out = run_cli(capsys, "pairing", "--group", spec)
+    data = json.loads(out)
+    assert code == 2
+    assert data["status"] == "error"
+    assert data["result"]["error"] == f"cyclic factor {factor} is below 2"
+
+
 def test_bad_filtration_exits_2(capsys):
     code, out = run_cli(capsys, "different", "--filtration", "a,b")
     data = json.loads(out)

@@ -7,7 +7,7 @@ import json
 import random
 import textwrap
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from resolvend.localfield import LocalModel
 from resolvend.tame import build_model
 from resolvend.stickelberger import CharacterTable, pairing_sign
 from resolvend.suite import (
-    _LEAD_DIGIT,
     _below,
     _digits,
     _entry,
@@ -33,7 +32,6 @@ from resolvend.suite import (
     _random_local,
     _random_wild,
     _sampled_mismatch,
-    _word_digit,
     odd_abelian_groups,
     run_suite,
 )
@@ -228,18 +226,31 @@ def _matmul_verdicts(pair_mat, big_l, det_mat, d_vec):
     return np.concatenate(integral_parts), np.concatenate(trivial_parts), mismatch, checked
 
 
+def _reference_digits(rng, k):
+    """Check 01's digit reader as a plain loop: a generator byte below 250
+    gives its residue mod 5, any other is skipped, and a short read is
+    topped up with as many bytes as are still missing."""
+    out = []
+    while len(out) < k:
+        m = k - len(out)
+        for byte in rng.getrandbits(8 * m).to_bytes(m, "little"):
+            if byte < 250:
+                out.append(byte % 5)
+    return out[:k]
+
+
 def _numpy_sampled(rng, pair_mat, big_l, det_mat, d_vec):
     """Reference sampled sweep: the same 10,000 draws as int8 rows through
-    the matrix products; (first mismatch or None, count, 8 sample rows)."""
+    the matrix products; (first mismatch or None, count)."""
     n, count = len(pair_mat), 10_000
-    block = np.array(rng.choices((-2, -1, 0, 1, 2), k=count * n), dtype=np.int8).reshape(count, n)
+    block = np.array(_reference_digits(rng, count * n), dtype=np.int8).reshape(count, n) - 2
     integral = ((block @ pair_mat) % big_l == 0).all(axis=1)
     trivial = ((block @ det_mat) % d_vec[None, :] == 0).all(axis=1)
     mismatch = None
     if not np.array_equal(integral, trivial):
         k = int(np.nonzero(integral != trivial)[0][0])
         mismatch = (block[k].tolist(), bool(integral[k]), bool(trivial[k]))
-    return mismatch, count, [block[rng.randrange(count)].tolist() for _ in range(8)]
+    return mismatch, count
 
 
 def _bits(flags) -> int:
@@ -296,8 +307,8 @@ SAMPLED_GROUPS = [FiniteAbelianGroup(spec) for spec in ((11,), (5, 5), (3, 9), (
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("group", SAMPLED_GROUPS, ids=lambda g: g.spec)
 def test_sampled_sweep_matches_the_numpy_reference(group, seed):
-    """Same draws, same first mismatch, count and 8 sample rows, and the
-    generator ends in the same state, clean and with one planted entry."""
+    """Same draws, same first mismatch and count, and the generator ends in
+    the same state, clean and with one planted entry."""
     _, det_mat, d_vec = _numpy_matrices(group)
     _, _, det_cols = _integrality_columns(group)
     for name, pair_mat, pair_cols in _planted(group)[:2]:
@@ -309,47 +320,32 @@ def test_sampled_sweep_matches_the_numpy_reference(group, seed):
         assert (got[0] is None) == (name == "clean")
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_digits_are_the_choices_draws(seed):
-    """Every sampled order of the default suite: the decoded digits equal
-    rng.choices over (0, ..., 4) on the same key, and both generators end in
-    the same state."""
-    for group in odd_abelian_groups(27):
-        if group.order > 9:
-            fast = random.Random(f"{seed}:integrality:{group.spec}")
-            slow = random.Random(f"{seed}:integrality:{group.spec}")
-            assert _digits(fast, 10_000 * group.order) == bytes(
-                slow.choices((0, 1, 2, 3, 4), k=10_000 * group.order))
-            assert fast.getstate() == slow.getstate()
+@pytest.mark.parametrize("k", [1, 9, 8 * 27])
+def test_digits_are_the_reference_byte_reader(k):
+    """Same digits from the same bytes, and the generator ends in the same
+    state, for draws as short as check 01's cross-check rows; the sampled
+    sweep test covers the long ones."""
+    fast, slow = random.Random(f"digits:{k}"), random.Random(f"digits:{k}")
+    assert _digits(fast, k) == bytes(_reference_digits(slow, k))
+    assert fast.getstate() == slow.getstate()
 
 
-def _choices_digit(a: int, b: int) -> int:
-    """CPython's floor(random() * 5.0) on the two words a, b of one draw."""
-    return floor(((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) * 5.0)
+def test_check_01_report_does_not_depend_on_the_rows_drawn(monkeypatch):
+    """A passing entry reports no row, so check 01 reads the same under a
+    second uniform reader on differently keyed generators; the patched
+    reader serves every sampled sweep and every cross-check draw."""
+    expected = json.dumps(run_suite(checks=["01"], seed=0).to_json(), sort_keys=True)
+    calls = []
 
+    def other_digits(rng, k):
+        calls.append(k)
+        return bytearray(_reference_digits(random.Random(f"other:{rng.getrandbits(32)}"), k))
 
-def _words(x: int, low: int):
-    """The words a, b whose draw reads x, with the ignored low bits set to low."""
-    return x >> 26 << 5 | low & 31, (x & (1 << 26) - 1) << 6 | low & 63
-
-
-def test_word_digit_matches_the_float_product_at_every_boundary():
-    """50 draws on either side of each k 2^53 / 5, including the one where
-    the rounded product reads 3 and the exact floor 2; every top byte's table
-    entry holds across its whole range, and only the four straddling bytes
-    defer to the full word."""
-    for k in range(1, 5):
-        for x in range(k * 2 ** 53 // 5 - 50, k * 2 ** 53 // 5 + 51):
-            for low in (0, -1):
-                assert _word_digit(*_words(x, low)) == _choices_digit(*_words(x, low))
-    assert _choices_digit(*_words((3 * 2 ** 53 - 1) // 5, 0)) == 3
-    for t, digit in enumerate(_LEAD_DIGIT):
-        ends = {_choices_digit(*_words(x, low)) for x in (t << 45, (t + 1 << 45) - 1)
-                for low in (0, -1)}
-        if t in (51, 102, 153, 204):
-            assert digit == 255 and len(ends) == 2
-        else:
-            assert ends == {digit}
+    monkeypatch.setattr(suite, "_digits", other_digits)
+    report = run_suite(checks=["01"], seed=0)
+    assert json.dumps(report.to_json(), sort_keys=True) == expected
+    groups = odd_abelian_groups(27)
+    assert len(calls) == len(groups) + sum(g.order > 9 for g in groups)
 
 
 def test_below_is_randrange():
@@ -425,6 +421,11 @@ def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
         for _ in range(300):
             assert build(fast, alg) == oracle(slow, alg)
             assert fast.getstate() == slow.getstate()
+
+
+def _words(x: int, low: int):
+    """The words a, b whose draw reads x, with the ignored low bits set to low."""
+    return x >> 26 << 5 | low & 31, (x & (1 << 26) - 1) << 6 | low & 63
 
 
 class _Words:

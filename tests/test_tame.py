@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -36,7 +37,10 @@ from resolvend.groupring import (
 from resolvend.localfield import prime_power_base
 from resolvend.stickelberger import DetKernelBasis, stickelberger_pairing
 from resolvend.tame import (
+    SEARCH_BOUND,
+    SEARCH_SUPPORT,
     TameHom,
+    _search_candidates,
     _unit_above_p,
     basis_change_determinant,
     basis_change_is_unit,
@@ -233,6 +237,39 @@ def test_search_preconditions():
         unramified_generator_search(C3, 7, (1,), 5)  # ord_5(7) = 4 != 3
     with pytest.raises(ConductorError):
         unramified_generator_search(C3, 3, (1,), 9)  # residue char inside N
+
+
+@pytest.mark.parametrize("r", [1, -5])
+def test_search_rejects_a_modulus_below_2(r):
+    with pytest.raises(PreconditionError, match=f"modulus {r} is below 2"):
+        unramified_generator_search(C3, 7, (1,), r)
+
+
+def _compositions(total: int, parts: int, bound: int):
+    """Compositions of total into parts in [1, bound], lexicographically: the
+    recursive generator the candidate search used, kept as an oracle."""
+    if parts == 1:
+        if 1 <= total <= bound:
+            yield (total,)
+        return
+    for first in range(1, min(bound, total - parts + 1) + 1):
+        for rest in _compositions(total - first, parts - 1, bound):
+            yield (first,) + rest
+
+
+def _candidates_by_compositions(r: int, bound: int, max_support: int):
+    for weight in range(1, bound * max_support + 1):
+        for size in range(1, max_support + 1):
+            for positions in combinations(range(r), size):
+                for mags in _compositions(weight, size, bound):
+                    for signs in product((1, -1), repeat=size):
+                        yield tuple(zip(positions, (m * s for m, s in zip(mags, signs))))
+
+
+@pytest.mark.parametrize("r", [7, 19])
+def test_search_candidates_keep_the_composition_order(r):
+    assert list(_search_candidates(r, SEARCH_BOUND, SEARCH_SUPPORT)) == list(
+        _candidates_by_compositions(r, SEARCH_BOUND, SEARCH_SUPPORT))
 
 
 def test_search_identity_component():
