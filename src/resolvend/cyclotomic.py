@@ -10,7 +10,9 @@ appear only at the API boundary.  Every CycNumber is kept in lowest terms
 known to be in lowest terms already (integral sums, products and scalings,
 Galois images, roots of unity) is built by ``_lowest`` without the gcd pass.
 A sum of products, ``cyc_dot``, reduces mod Phi_N and normalises once, not
-once per term.
+once per term.  At conductor 3 (phi = 2, zeta^2 = -1 - zeta) both the lone
+product and each term of ``cyc_dot`` take a closed form in place of the
+polynomial product and the reduction.
 """
 
 from __future__ import annotations
@@ -465,9 +467,13 @@ def cyc_dot(ctx: CycContext, pairs) -> CycNumber:
     """sum of x * y over the pairs (x, y) of CycNumbers, in one pass: every
     product lands in one integer vector over one common denominator, which is
     reduced mod Phi_N and normalised once.  A term whose x.den * y.den differs
-    rescales the vector to the lcm and enters times its cofactor."""
+    rescales the vector to the lcm and enters times its cofactor.  At phi = 2
+    (conductor 3) each product enters already reduced, by the closed form of
+    ``CycNumber.__mul__``, into a 2-entry vector that ``reduce`` leaves as it
+    is; other conductors accumulate the 2 phi - 1 polynomial coefficients."""
     n = ctx.n
-    acc = [0] * (2 * ctx.phi - 1)
+    closed = ctx.phi == 2
+    acc = [0, 0] if closed else [0] * (2 * ctx.phi - 1)
     den = 1
     for x, y in pairs:
         if x.ctx.n != n or y.ctx.n != n:
@@ -480,6 +486,12 @@ def cyc_dot(ctx: CycContext, pairs) -> CycNumber:
                 acc = [c * (g // den) for c in acc]
                 den = g
             f = g // d
+        if closed:
+            (a0, a1), (b0, b1) = x.num, y.num
+            t = a1 * b1
+            acc[0] += (a0 * b0 - t) * f
+            acc[1] += (a0 * b1 + a1 * b0 - t) * f
+            continue
         nz = [(j, b * f) for j, b in enumerate(y.num) if b]
         for i, a in enumerate(x.num):
             if a:

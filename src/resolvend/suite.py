@@ -704,19 +704,20 @@ def _random_cyc(rng: random.Random, ctx: CycContext):
     """Power-basis coefficients in [-2, 2], divided by 2 or 3 a quarter of
     the time: random() < 1/4 exactly when its first word is below 2^30."""
     bits = rng.getrandbits
-    c = CycNumber(ctx, [_below(bits, 5) - 2 for _ in range(ctx.phi)])
-    if bits(64) & 0xC0000000 == 0:
-        c = c * Fraction(1, 2 + _below(bits, 2))
-    return c
+    num = [_below(bits, 5) - 2 for _ in range(ctx.phi)]
+    den = 2 + _below(bits, 2) if bits(64) & 0xC0000000 == 0 else 1
+    return CycNumber(ctx, num, den)
 
 
 def _random_local(rng: random.Random, model):
     """One or two terms c pi^(k/3), k in [-3, 3], c from ``_random_cyc``,
-    in a model with e = 3."""
-    bits, x = rng.getrandbits, model.zero()
+    in a model with e = 3; a key drawn twice holds the sum."""
+    bits, terms = rng.getrandbits, {}
     for _ in range(1 + _below(bits, 2)):
-        x = x + PuiseuxElement(model, {_below(bits, 7) - 3: _random_cyc(rng, model.ctx)})
-    return x
+        k = _below(bits, 7) - 3
+        c = _random_cyc(rng, model.ctx)
+        terms[k] = terms[k] + c if k in terms else c
+    return PuiseuxElement(model, terms)
 
 
 def check_10_trace(cfg: SuiteConfig):

@@ -11,6 +11,7 @@ from resolvend.cyclotomic import (
     CycContext,
     CycNumber,
     _bareiss_inverse,
+    _poly_mul,
     content_ord,
     cyc_det,
     cyc_dot,
@@ -543,10 +544,10 @@ def test_algebra_val_is_only_a_lower_bound():
 
 
 @st.composite
-def dot_pairs(draw):
+def dot_pairs(draw, conductors=range(3, 58, 2)):
     """Up to six pairs at one odd conductor in 3..57, with denominators 1..12,
     each operand rational or not."""
-    ctx = CycContext(draw(st.sampled_from(range(3, 58, 2))))
+    ctx = CycContext(draw(st.sampled_from(conductors)))
 
     def operand():
         den = draw(st.integers(1, 12))
@@ -571,11 +572,46 @@ def test_dot_matches_the_fold_of_products(data):
         assert _fields(got) == _fields(want)
 
 
+def _vector_dot(ctx: CycContext, pairs) -> CycNumber:
+    """Reference sum of products at any conductor: each ``_poly_mul``
+    product enters a vector of 2 phi - 1 coefficients over the common
+    denominator, reduced by ``ctx.reduce`` once at the end.  This is the loop
+    ``cyc_dot`` runs at every conductor but 3."""
+    acc, den = [0] * (2 * ctx.phi - 1), 1
+    for x, y in pairs:
+        d = x.den * y.den
+        g = den // gcd(den, d) * d
+        acc = [c * (g // den) for c in acc]
+        den = g
+        for k, c in enumerate(_poly_mul(x.num, y.num)):
+            acc[k] += c * (g // d)
+    return CycNumber(ctx, ctx.reduce(acc), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_pairs(conductors=(3,)), st.booleans())
+def test_conductor_3_dot_matches_the_vector_loop(data, cancel):
+    """The closed form equals the polynomial route field by field, on empty
+    sums, on sums over mixed denominators and on sums that cancel."""
+    ctx, pairs = data
+    if cancel:
+        pairs += [(-x, y) for x, y in pairs]
+    want = _fields(_vector_dot(ctx, pairs))
+    assert _fields(cyc_dot(ctx, pairs)) == want
+    if cancel or not pairs:
+        assert want == _fields(ctx.zero())
+
+
 def test_dot_of_nothing_is_zero_and_mixed_conductors_raise():
-    ctx = CycContext(9)
-    assert _fields(cyc_dot(ctx, [])) == _fields(ctx.zero())
-    x = ctx.zeta_power(1)
-    assert _fields(cyc_dot(ctx, [(x, x), (-x, x)])) == _fields(ctx.zero())
-    for pair in ((x, CycContext(3).one()), (CycContext(27).one(), x)):
-        with pytest.raises(ConductorError):
-            cyc_dot(ctx, [pair])
+    """A foreign operand on either side raises ConductorError before any of
+    its coefficients are read, at conductor 3 as elsewhere."""
+    for n, others in ((9, (3, 27)), (3, (9, 27))):
+        ctx = CycContext(n)
+        assert _fields(cyc_dot(ctx, [])) == _fields(ctx.zero())
+        x = ctx.zeta_power(1)
+        assert _fields(cyc_dot(ctx, [(x, x), (-x, x)])) == _fields(ctx.zero())
+        for other in others:
+            y = CycContext(other).zeta_power(1)
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(ConductorError):
+                    cyc_dot(ctx, [pair])

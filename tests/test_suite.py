@@ -18,7 +18,7 @@ from resolvend.cyclotomic import CycContext, CycNumber
 from resolvend.errors import NotInvertibleError, PreconditionError
 from resolvend.groupring import Resolvend, involution
 from resolvend.groups import FiniteAbelianGroup
-from resolvend.localfield import LocalModel
+from resolvend.localfield import LocalModel, PuiseuxElement
 from resolvend.tame import build_model
 from resolvend.stickelberger import CharacterTable, pairing_sign
 from resolvend.suite import (
@@ -423,6 +423,41 @@ def test_random_inputs_match_the_summing_builders(build, oracle, algebras):
             assert fast.getstate() == slow.getstate()
 
 
+def _random_cyc_by_scaling(rng: random.Random, ctx: CycContext):
+    """Check 10's coefficient builder as an integral CycNumber scaled by a
+    Fraction, the route the one-constructor builder replaced, kept as an
+    oracle."""
+    bits = rng.getrandbits
+    c = CycNumber(ctx, [_below(bits, 5) - 2 for _ in range(ctx.phi)])
+    if bits(64) & 0xC0000000 == 0:
+        c = c * Fraction(1, 2 + _below(bits, 2))
+    return c
+
+
+def _random_local_by_sums(rng: random.Random, model: LocalModel):
+    """Check 10's Puiseux builder as a sum of one-term elements, the route
+    the one-element builder replaced, kept as an oracle."""
+    bits, x = rng.getrandbits, model.zero()
+    for _ in range(1 + _below(bits, 2)):
+        x = x + PuiseuxElement(model, {_below(bits, 7) - 3: _random_cyc_by_scaling(rng, model.ctx)})
+    return x
+
+
+@pytest.mark.parametrize("build, oracle, algebra", [
+    (_random_cyc, _random_cyc_by_scaling, lambda: CycContext(3)),
+    (_random_local, _random_local_by_sums, lambda: build_model(3, 7)),
+], ids=["cyclotomic", "puiseux"])
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_check_10_draws_match_the_scaling_builders(build, oracle, algebra, seed):
+    """Same values from the same generator bits, and the same generator
+    state after 2,000 draws, so check 10's inputs are unchanged."""
+    alg = algebra()
+    fast, slow = random.Random(f"{seed}:trace:draws"), random.Random(f"{seed}:trace:draws")
+    for _ in range(2000):
+        assert build(fast, alg) == oracle(slow, alg)
+    assert fast.getstate() == slow.getstate()
+
+
 def _words(x: int, low: int):
     """The words a, b whose draw reads x, with the ignored low bits set to low."""
     return x >> 26 << 5 | low & 31, (x & (1 << 26) - 1) << 6 | low & 63
@@ -478,7 +513,8 @@ def test_check_10_builds_every_number_in_lowest_terms(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_lowest", lambda *args: check(lowest(*args)))
     assert run_suite(checks=["10"]).ok
     assert bad == []
-    assert built[0] > 50_000
+    entries, pairs, draws_per_pair = 2, 1000, 2 * 3  # two resolvends on C3 per pair
+    assert built[0] >= entries * pairs * draws_per_pair
 
 
 def test_checks_05_and_06_read_inverses_through_the_table(monkeypatch):
@@ -576,11 +612,12 @@ def test_checks_05_and_06_fail_on_a_corrupted_phi_57_row(fresh_interning):
         "05-decompose-roundtrip", "06-transport-closure"}
 
 
-def _patch_cyc_dot(monkeypatch, exact: str, faulty: str):
-    """Compile ``cyc_dot`` from its own source with ``exact`` replaced by
-    ``faulty`` and patch it into both modules that call it."""
+def _patch_cyc_dot(monkeypatch, exact: str, faulty: str, count: int = 1):
+    """Compile ``cyc_dot`` from its own source with each of the ``count``
+    copies of ``exact`` replaced by ``faulty`` and patch it into both modules
+    that call it."""
     source = inspect.getsource(cyclotomic.cyc_dot)
-    assert source.count(exact) == 1
+    assert source.count(exact) == count
     namespace: dict = {}
     exec(compile(textwrap.dedent(source.replace(exact, faulty)), cyclotomic.__file__, "exec"),
          vars(cyclotomic), namespace)
@@ -592,14 +629,43 @@ def test_check_04_fails_when_a_sum_of_products_skips_the_reduction(
         monkeypatch, fresh_interning):
     """``cyc_dot`` keeping only the first phi entries of its accumulator, so
     no power of zeta at or above phi is reduced mod Phi_N, fails check 04's
-    resolvent table at the first nontrivial character.  Check 10 is blind to
-    this fault: both of its sides sum through the same ``dot``, and the
+    resolvent table at the first nontrivial character.  It runs at e = 5,
+    the least e whose conductor takes the polynomial route: at conductor 3
+    the closed form leaves nothing to reduce.  Check 10 is blind to this
+    fault: both of its sides sum through the same ``dot``, and the
     truncation is still bilinear."""
     _patch_cyc_dot(monkeypatch, "CycNumber(ctx, ctx.reduce(acc), den)",
                    "CycNumber(ctx, tuple(acc[:ctx.phi]), den)")
     failed = [(e.params.get("aspect"), e.witness) for e in
+              run_suite(checks=["04"], e_list=(5,)).entries if not e.ok]
+    assert ("resolvent-table", "character (1,)") in failed
+
+
+@pytest.mark.parametrize("exact, faulty", [
+    ("(a0 * b0 - t) * f", "(a0 * b0) * f"),
+    ("a1 * b0 - t) * f", "a1 * b0) * f"),
+], ids=["constant", "zeta"])
+def test_check_04_fails_when_the_conductor_3_sum_of_products_drops_a_term(
+        monkeypatch, fresh_interning, exact, faulty):
+    """``cyc_dot``'s closed form without one -a1 b1 term fails check 04's
+    resolvent table at e = 3 (checks 06, 08, 09 and 11 fail too).  The
+    fault is still bilinear, so check 10 is not the detector here."""
+    _patch_cyc_dot(monkeypatch, exact, faulty)
+    failed = [(e.params.get("aspect"), e.witness) for e in
               run_suite(checks=["04"], e_list=(3,)).entries if not e.ok]
     assert ("resolvent-table", "character (1,)") in failed
+
+
+def test_check_10_fails_when_the_conductor_3_sum_of_products_skips_the_cofactor(
+        monkeypatch, fresh_interning):
+    """``cyc_dot``'s closed form adding each product over its own
+    denominator x.den * y.den, not times its cofactor to the common one,
+    fails both check-10 entries.  Check 04 is blind to it, as to the skipped
+    rescale: within each of its sums the cofactor is 1."""
+    _patch_cyc_dot(monkeypatch, ") * f\n", ")\n", count=2)
+    entries = run_suite(checks=["10"]).entries
+    assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
+        ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 2")]
 
 
 def test_check_10_fails_when_a_sum_of_products_skips_the_rescale(
