@@ -4,13 +4,16 @@ a : G -> coefficients, together with the character-space isomorphism.
 One type, ``Resolvend``, is both: it stores the map (``values[s]`` = a(s),
 read through ``value``) and shows the group-ring coefficients
 c_u = a(u^{-1}) as ``coeffs``.  The product r(a1) r(a2) is r of the
-convolution of a1 and a2, and ``involution`` (u -> u^{-1} on coefficients,
-s -> s^{-1} on the map) is the one reindexing.
+convolution of a1 and a2; ``coeffs``, ``translate`` and ``involution``
+(u -> u^{-1}) reindex the map.
 
 Characters are the group's own tuples (see ``stickelberger``), so a value in
 character space is a plain dict {chi: (a | chi)}.  The character table is
 symmetric, so one transform serves both directions: the inverse reads the
-dict as a map on G and takes its resolvents.
+dict as a map on G and transforms it again.  Resolvents are taken only
+through ``to_character_space``.  ``_nonvanishing`` is the one test for
+a vanishing resolvent, and ``nonintegral_coefficients`` the one integrality
+test, sound in the direction that ``val``, a lower bound, allows.
 
 The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
@@ -26,7 +29,7 @@ always happens pointwise in character space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotGaloisOrbitError, NotInvertibleError, SingularResolvendError
@@ -105,20 +108,24 @@ def to_character_space(r: Resolvend) -> dict:
 def from_character_space(group: FiniteAbelianGroup, algebra, values: dict) -> Resolvend:
     """Inverse of to_character_space by orthogonality: with v read as a map on
     G, a(s) = (1/|G|) (v | s^{-1}), since chi(s) = s(chi)."""
-    v = Resolvend(group, algebra, values)
+    transformed = to_character_space(Resolvend(group, algebra, values))
     scale = Fraction(1, group.order)
-    return Resolvend(group, algebra,
-                     {group.neg(u): resolvent(v, u) * scale for u in group.elements()})
+    return Resolvend(group, algebra, {group.neg(u): x * scale for u, x in transformed.items()})
+
+
+def _nonvanishing(r: Resolvend):
+    """Yield (chi, (a | chi)) in character order, raising
+    SingularResolvendError at the first resolvent that vanishes."""
+    for chi, val in to_character_space(r).items():
+        if r.algebra.is_zero(val):
+            raise SingularResolvendError(f"resolvent vanishes at character {chi}")
+        yield chi, val
 
 
 def invert_resolvend(r: Resolvend) -> Resolvend:
     """Pointwise inversion in character space; exact."""
-    inv_values = {}
-    for chi, val in to_character_space(r).items():
-        if r.algebra.is_zero(val):
-            raise SingularResolvendError(f"resolvent vanishes at character {chi}")
-        inv_values[chi] = r.algebra.inv(val)
-    return from_character_space(r.group, r.algebra, inv_values)
+    alg = r.algebra
+    return from_character_space(r.group, alg, {chi: alg.inv(val) for chi, val in _nonvanishing(r)})
 
 
 def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
@@ -135,14 +142,41 @@ def trace_pairing_identity_check(a: Resolvend, b: Resolvend) -> bool:
 
 @dataclass
 class CertificateReport:
-    ok: bool
     membership_ok: bool
     unit_ok: bool
-    witnesses: list[str] = field(default_factory=list)
+    witnesses: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return self.membership_ok and self.unit_ok
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "membership_ok": self.membership_ok,
                 "unit_ok": self.unit_ok, "witnesses": list(self.witnesses)}
+
+
+def nonintegral_coefficients(r: Resolvend, base_field: bool) -> list[tuple]:
+    """The group-ring coefficients c_u of r that fail the integrality test,
+    in coefficient order: (u, v(c_u)) where v(c_u) < 0 and, with
+    ``base_field``, (u, None) where c_u leaves the base field.
+
+    ``val`` is a lower bound for the valuation, so the test is sound in one
+    direction: an empty list certifies that r is integral, while an entry
+    may be a false reject, never a false accept."""
+    alg = r.algebra
+    found = []
+    for u, c in r.coeffs.items():
+        val = alg.val(c)
+        if val < 0:
+            found.append((u, val))
+        if base_field and not alg.in_base_field(c):
+            found.append((u, None))
+    return found
+
+
+def _unit_witnesses(label: str, r: Resolvend) -> list[str]:
+    return [f"{label} at {u} leaves the base field" if val is None else
+            f"v({label} at {u}) = {val} < 0" for u, val in nonintegral_coefficients(r, True)]
 
 
 def generator_certificate(a: Resolvend, v_floor: int) -> CertificateReport:
@@ -151,55 +185,32 @@ def generator_certificate(a: Resolvend, v_floor: int) -> CertificateReport:
     inverse.  Witnesses name the first few failures."""
     model = a.algebra
     witnesses: list[str] = []
-    membership_ok = True
     for s in a.group.elements():
         val = model.val(a.value(s))
         if val < v_floor:
-            membership_ok = False
             witnesses.append(f"v(a({','.join(map(str, s))})) = {val} < {v_floor}")
-    unit_ok = True
+    membership_ok = not witnesses
+    unit: list[str] = []
     try:
         u = a * involution(a)
-        for g, c in u.coeffs.items():
-            if model.val(c) < 0:
-                unit_ok = False
-                witnesses.append(f"v(u at {g}) = {model.val(c)} < 0")
-            if not model.in_base_field(c):
-                unit_ok = False
-                witnesses.append(f"u at {g} leaves the base field")
-        u_inv = invert_resolvend(u)
-        for g, c in u_inv.coeffs.items():
-            if model.val(c) < 0:
-                unit_ok = False
-                witnesses.append(f"v(u^-1 at {g}) = {model.val(c)} < 0")
-            if not model.in_base_field(c):
-                unit_ok = False
-                witnesses.append(f"u^-1 at {g} leaves the base field")
+        unit += _unit_witnesses("u", u)
+        unit += _unit_witnesses("u^-1", invert_resolvend(u))
     except (SingularResolvendError, NotInvertibleError) as exc:
-        unit_ok = False
-        witnesses.append(f"unit test failed: {exc}")
-    return CertificateReport(membership_ok and unit_ok, membership_ok, unit_ok, witnesses[:8])
+        unit.append(f"unit test failed: {exc}")
+    return CertificateReport(membership_ok, not unit, (witnesses + unit)[:8])
 
 
 def unit_certificate(a: Resolvend) -> CertificateReport:
     """Unramified-style unit test: r(a) and r(a)^{-1} both integral."""
-    alg = a.algebra
-    witnesses: list[str] = []
-    ok = True
-    for s, v in a.values.items():
-        if alg.val(v) < 0:
-            ok = False
-            witnesses.append(f"v(a({s})) = {alg.val(v)} < 0")
+    witnesses = [f"v(a({a.group.neg(u)})) = {val} < 0"
+                 for u, val in nonintegral_coefficients(a, False)]
     try:
-        r_inv = invert_resolvend(a)
-        for g, c in r_inv.coeffs.items():
-            if alg.val(c) < 0:
-                ok = False
-                witnesses.append(f"v(r^-1 at {g}) = {alg.val(c)} < 0")
+        witnesses += [f"v(r^-1 at {u}) = {val} < 0"
+                      for u, val in nonintegral_coefficients(invert_resolvend(a), False)]
     except (SingularResolvendError, NotInvertibleError) as exc:
-        ok = False
         witnesses.append(f"not invertible: {exc}")
-    return CertificateReport(ok, ok, ok, witnesses[:8])
+    ok = not witnesses
+    return CertificateReport(ok, ok, witnesses[:8])
 
 
 def transpose_lift(g: Resolvend) -> dict:
@@ -240,12 +251,7 @@ def resolvend_product_transport(a1: Resolvend, a2: Resolvend) -> Resolvend:
 def reduced_equal(r1: Resolvend, r2: Resolvend, basis: DetKernelBasis) -> bool:
     """Equality of reduced resolvends: same values on every determinant-kernel
     basis vector, i.e. equality up to multiplication by a group element."""
-    v1 = to_character_space(r1)
-    v2 = to_character_space(r2)
-    for vec in (v1, v2):
-        for chi, val in vec.items():
-            if r1.algebra.is_zero(val):
-                raise SingularResolvendError(f"resolvent vanishes at character {chi}")
+    v1, v2 = dict(_nonvanishing(r1)), dict(_nonvanishing(r2))
     for combo in basis.combos():
         acc1 = r1.algebra.one()
         acc2 = r1.algebra.one()

@@ -30,8 +30,8 @@ from .groupring import (
     from_character_space,
     generator_certificate,
     invert_resolvend,
+    nonintegral_coefficients,
     reduced_equal,
-    resolvent,
     to_character_space,
     transpose_lift,
     unit_certificate,
@@ -123,16 +123,15 @@ def tame_generator(group: FiniteAbelianGroup, s: GroupElement, q: int,
 
 
 def resolvent_table(a: Resolvend, s: GroupElement):
-    """Yield one row (chi, <chi, s>, (a | chi), match) per character, where
-    match says whether the resolvent of the generator attached to s equals
-    pi^<chi, s>.  Rows come lazily, so a caller can stop at a mismatch."""
+    """Yield one row (chi, <chi, s>, (a | chi), match) per character, in
+    character order, where match says whether the resolvent of the generator
+    attached to s equals pi^<chi, s>."""
     model = a.algebra
     table = CharacterTable(a.group)
     col = table.position(s)
     sign, m = pairing_sign(), a.group.exponent
-    for chi, row in zip(a.group.elements(), table.rows):
+    for (chi, value), row in zip(to_character_space(a).items(), table.rows):
         pairing = Fraction(sign * row[col], m)
-        value = resolvent(a, chi)
         yield chi, pairing, value, value == model.pi_power(pairing)
 
 
@@ -179,11 +178,11 @@ def basis_change_is_unit(a: Resolvend, s: GroupElement) -> bool:
     return _unit_above_p([det], det.ctx, a.algebra.p)
 
 
-def decompose_tame_resolvend(h: TameHom, a: Resolvend,
-                             basis: DetKernelBasis) -> tuple[Resolvend, GroupElement]:
-    """Factor r(a) as u * lift(f_s) and return (u, s): checks the generator
-    certificate, builds the unit part u in character space, certifies u and
-    u^{-1} integral, and verifies the factorization on the determinant kernel."""
+def decompose_tame_resolvend(h: TameHom, a: Resolvend, basis: DetKernelBasis) -> Resolvend:
+    """Factor r(a) as u * lift(f_s) with s = h.s_sigma and return the unit
+    part u: checks the generator certificate, builds u in character space,
+    certifies u and u^{-1} integral, and verifies the factorization on the
+    determinant kernel."""
     model = a.algebra
     group = a.group
     e = element_order(group, h.s_sigma)
@@ -194,15 +193,13 @@ def decompose_tame_resolvend(h: TameHom, a: Resolvend,
     va = to_character_space(a)
     u = from_character_space(group, model,
                              {chi: va[chi] * model.inv(vf[chi]) for chi in va})
-    for g, c in u.coeffs.items():
-        if model.val(c) < 0:
-            raise NotAGeneratorError(f"unit part not integral at {g}")
-    for g, c in invert_resolvend(u).coeffs.items():
-        if model.val(c) < 0:
-            raise NotAGeneratorError(f"inverse of unit part not integral at {g}")
+    if bad := nonintegral_coefficients(u, False):
+        raise NotAGeneratorError(f"unit part not integral at {bad[0][0]}")
+    if bad := nonintegral_coefficients(invert_resolvend(u), False):
+        raise NotAGeneratorError(f"inverse of unit part not integral at {bad[0][0]}")
     if not reduced_equal(a, u * from_character_space(group, model, vf), basis):
         raise NotAGeneratorError("factorization fails reduced equality")
-    return u, h.s_sigma
+    return u
 
 
 def recompose(u: Resolvend, s: GroupElement) -> Resolvend:
@@ -264,13 +261,14 @@ def _fp_coprime_to_minpoly(coeffs: list, base: list, p: int) -> bool:
 
 
 def _unit_above_p(values, ctx: CycContext, p: int) -> bool:
-    """Mod-p invertibility of p-integral cyclotomic numbers.
+    """Whether every value is a unit at every prime above p.
 
-    The coefficient ring modulo p is F_p[x] modulo the reduced minimal
-    polynomial, so a p-integral number is a unit at every prime above p
-    exactly when its reduction is coprime to that polynomial.  This is an
-    equivalence, not just a filter, but the caller still runs the full
-    certificate on the survivor.
+    A value with p in a denominator is rejected.  Otherwise it is
+    p-integral, the coefficient ring modulo p is F_p[x] modulo the reduced
+    minimal polynomial, and the value is a unit above p exactly when its
+    reduction is coprime to that polynomial; zero and multiples of p reduce
+    to zero and are rejected.  This is an equivalence, not just a filter,
+    but the caller still runs the full certificate on the survivor.
     """
     for v in values:
         coeffs = []
@@ -289,8 +287,8 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     """Bounded search for a normal-basis style generator of the degree-|t|
     unramified extension, modeled inside Q(zeta_r) with Frobenius zeta -> zeta^q.
 
-    Returns the first map a(t^i) = phi^i(theta) whose resolvents all have
-    valuation zero and whose resolvend inverse is integral.  Raises
+    Returns the first map a(t^i) = phi^i(theta) whose resolvents are all
+    units above p and which passes ``unit_certificate``.  Raises
     SearchFailureError when the bounded space is exhausted.
     """
     t = group.element(t)
@@ -315,12 +313,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
             values[(i,)] = current
             current = galois_apply(current, q)
         a = Resolvend(habs, alg, values)
-        vec = to_character_space(a)
-        if any(alg.val(v) != 0 for v in vec.values()):
-            continue
-        if not _unit_above_p(vec.values(), ctx, p):
-            continue
-        if unit_certificate(a).ok:
+        if _unit_above_p(to_character_space(a).values(), ctx, p) and unit_certificate(a).ok:
             return Resolvend(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})
     raise SearchFailureError(
         f"no certified generator with support <= {SEARCH_SUPPORT}, "

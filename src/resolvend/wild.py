@@ -22,7 +22,7 @@ from itertools import accumulate
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
 from .faults import OMEGA_UNINVERTED, is_active
-from .groupring import Resolvend, delta_resolvend, involution, resolvent, transpose_lift
+from .groupring import Resolvend, delta_resolvend, involution, to_character_space, transpose_lift
 from .groups import FiniteAbelianGroup, GroupElement, element_order, prime_factors
 from .laurent import SCALARS, LaurentAlgebra, LaurentElement, _product, _scaled
 from .stickelberger import CharacterTable
@@ -262,10 +262,10 @@ def wild_resolvent_identity(a: Resolvend, t: GroupElement) -> bool:
     lift = transpose_lift(pth_power_map(group, t, alg))
     table = CharacterTable(group)
     step = group.exponent // alg.p
-    for chi in group.elements():
+    for chi, value in to_character_space(a).items():
         # chi(t) = zeta_exp^m with (exp/p) | m, so chi(t) = zeta_p^(m / step)
         mono = alg.standard_monomial(table.value(chi, t) // step)
-        if resolvent(a, chi) != mono or lift[chi] != mono:
+        if value != mono or lift[chi] != mono:
             return False
     return True
 
@@ -362,11 +362,9 @@ def wild_unit_resolvents(a: Resolvend) -> bool:
     """Every resolvent of the wild generator a is a unit monomial and
     r(a) r(a)^{[-1]} = 1."""
     group, alg = a.group, a.algebra
-    for chi in group.elements():
-        r1 = resolvent(a, chi)
-        if not alg.is_unit_monomial(r1):
-            return False
-        if r1 * resolvent(a, group.neg(chi)) != alg.one():
+    values = to_character_space(a)
+    for chi, value in values.items():
+        if not alg.is_unit_monomial(value) or value * values[group.neg(chi)] != alg.one():
             return False
     return a * involution(a) == delta_resolvend(group, alg, group.identity)
 
@@ -387,13 +385,13 @@ def elementary_product_check(p: int, r: int) -> bool:
     a = gens[0]
     for b in gens[1:]:
         a = a * b
-    for chi in group.elements():
-        res = resolvent(a, chi)
-        if not alg.is_unit_monomial(res):
+    blocks = [to_character_space(g) for g in gens]
+    for chi, value in to_character_space(a).items():
+        if not alg.is_unit_monomial(value):
             return False
         prod = alg.one()
-        for g in gens:
-            prod = prod * resolvent(g, chi)
-        if res != prod:
+        for block in blocks:
+            prod = prod * block[chi]
+        if value != prod:
             return False
     return True

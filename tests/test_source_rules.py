@@ -176,6 +176,77 @@ def test_trusted_rule_catches_each_form():
         "m:1", "m:3", "m:4", "m:5"]
 
 
+def test_only_groupring_takes_resolvents():
+    """Every resolvent outside ``groupring`` comes from
+    ``to_character_space``, so a faster transform there serves every
+    caller, and no module loops ``resolvent`` over the characters."""
+    sources = {path.stem: path.read_text()
+               for path in Path(resolvend.__file__).parent.glob("*.py")}
+    assert "resolvent(" in sources["groupring"]
+    assert _name_uses(sources, "resolvent", {"groupring"}) == []
+
+
+def test_resolvent_rule_catches_each_form():
+    code = ("from .groupring import resolvent, to_character_space\n"
+            "from . import groupring\n"
+            "a = resolvent(r, chi)\n"
+            "b = groupring.resolvent(r, chi)\n"
+            "take = groupring.resolvent\n"
+            "rows = resolvent_table(r, s)\n"
+            "c = to_character_space(r)\n"
+            "d = 'resolvent'\n")
+    inside = "def resolvent(a, chi):\n    return a\nx = resolvent(r, chi)\n"
+    assert _name_uses({"m": code, "groupring": inside}, "resolvent", {"groupring"}) == [
+        "m:1", "m:3", "m:4", "m:5"]
+
+
+def _reads_val(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "val" for n in ast.walk(node))
+
+
+def _val_compared_with_zero(tree: ast.AST) -> list[str]:
+    """Comparisons of 0 with an operand that reads a ``.val`` method, called
+    or passed on (``min(map(model.val, xs))``), by any operator and on
+    either side.  A valuation held in a plain name first is not seen."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(_reads_val(x) and isinstance(y, ast.Constant) and y.value == 0
+                   and not isinstance(y.value, bool)
+                   for left, right in zip(operands, operands[1:])
+                   for x, y in ((left, right), (right, left))):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_groupring_decides_integrality():
+    """Integrality is decided by ``groupring.nonintegral_coefficients``
+    alone, where ``val`` is used in its sound direction; elsewhere a
+    valuation is compared with a floor, never with 0."""
+    root = Path(resolvend.__file__).parent
+    offences = {path.name: _val_compared_with_zero(ast.parse(path.read_text()))
+                for path in sorted(root.glob("*.py")) if path.name != "groupring.py"}
+    assert {name: found for name, found in offences.items() if found} == {}
+    assert "def nonintegral_coefficients(" in (root / "groupring.py").read_text()
+
+
+def test_integrality_rule_catches_each_form():
+    code = ("a = model.val(c) < 0\n"
+            "b = 0 > alg.val(c)\n"
+            "c = model.val(c) >= 0\n"
+            "d = min(map(model.val, xs)) < 0\n"
+            "e = lo < model.val(c) < 0\n"
+            "f = any(alg.val(v) != 0 for v in vs)\n"
+            "g = model.val(c) < floor\n"
+            "h = below < floor\n"
+            "i = model.value(s) < 0\n"
+            "j = val < 0\n"
+            "k = model.val(c) < False\n")
+    assert [f.split(":")[0] for f in _val_compared_with_zero(ast.parse(code))] == [
+        f"line {n}" for n in range(1, 7)]
+
+
 
 def _has_product(node: ast.AST) -> bool:
     return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(node))
