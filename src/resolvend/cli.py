@@ -207,8 +207,7 @@ def cmd_wild_verify(args) -> tuple:
     alpha = a.value(group.identity)  # tau^0(alpha)
     w_y = weight_lower_bound(alg.y(1) - alg.one())
     w_zeta = weight_lower_bound(alg.from_cyc(alg.ctx.zeta_power(1) - alg.ctx.one()))
-    w_alpha = weight_lower_bound(alpha * p - p)
-    bound = alpha_valuation_bound(alpha)
+    w_alpha, bound = alpha_valuation_bound(alpha)
     report = [
         {"statement": "the averaged spanning element is invariant under "
                       "every coefficient twist",

@@ -21,19 +21,28 @@ The coefficient algebra is duck-typed: exact cyclotomic numbers
 algebra of ``wild``.  The algebra object exposes ``ctx`` and
 zero/one/is_zero/inv/frac_power/val and ``dot`` (the sum of x * y over a
 list of pairs, a CycNumber y acting as a constant, in one pass), a local
-model for ``generator_certificate`` also ``in_base_field``, and the values
-carry exact ring arithmetic.  Every sum of products here -- convolution,
-resolvents, the trace form -- is one ``dot`` per output value.  Inversion
-always happens pointwise in character space.
+model for ``generator_certificate`` also ``in_base_field``, a Laurent
+algebra for ``transpose_lift`` also ``unit_key`` and ``zeta_monomial``, and
+the values carry exact ring arithmetic.  Every sum of products here --
+convolution, resolvents, the trace form -- is one ``dot`` per output value.
+Inversion always happens pointwise in character space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import NotGaloisOrbitError, NotInvertibleError, SingularResolvendError
-from .groups import FiniteAbelianGroup, GroupElement
+from .cyclotomic import discrete_log_in_mu
+from .errors import (
+    FractionalPowerError,
+    NotARootError,
+    NotGaloisOrbitError,
+    NotInvertibleError,
+    SingularResolvendError,
+)
+from .groups import FiniteAbelianGroup, GroupElement, element_order
 from .stickelberger import CharacterTable, DetKernelBasis, pairing_sign
 
 
@@ -214,26 +223,49 @@ def unit_certificate(a: Resolvend) -> CertificateReport:
 
 
 def transpose_lift(g: Resolvend) -> dict:
-    """Character-space lift of a unit-valued map: chi -> prod over s != 1 of
-    g(s)^<chi,s>, with the fractional powers taken in the coefficient algebra
-    and <chi, s> = c/exp(G) read from the character table.  Each power
-    g(s)^(c/exp(G)) is taken once and shared by the characters with that c."""
+    """Character-space lift of a unit-valued map over a Laurent algebra:
+    chi -> prod over s != 1 of g(s)^<chi,s>, computed in exponent space.
+
+    <chi, s> = c/m with m = exp(G) and c read from the character table is a
+    multiple of 1/n for n = |s|, so g(s)^<chi,s> = b_s^(c n/m) for the one
+    root b_s = g(s)^(1/n) = zeta_N^j_s X^k_s (the pairing sign included).
+    The lift at chi is the monomial zeta_N^J X^K with
+    J = sum_s j_s n c/m and K = sum_s k_s n c/m, each an integer dot product
+    of chi's table row (coordinate by coordinate for a vector key).  When a
+    root b_s does not exist, the powers g(s)^<chi,s> that need it are taken
+    in (chi, s) order, so the first of them that fails raises its own error."""
     group, alg = g.group, g.algebra
     table = CharacterTable(group)
     sign, m = pairing_sign(), group.exponent
     one = alg.one()
-    support = [(j, v, {}) for j, v in enumerate(map(g.value, group.elements()))
-               if j and v != one]  # position 0 is the identity
+    wide = isinstance(alg.unit_key, tuple)  # a vector key, as in the wild algebra
+    logs = [0] * group.order  # j_s n at the position of s
+    keys = [[0] * group.order for _ in (alg.unit_key if wide else (0,))]  # k_s n, per coordinate
+    failed = []
+    for pos, s in enumerate(group.elements()):
+        v = g.value(s)
+        if not pos or v == one:  # position 0 is the identity
+            continue
+        n = element_order(group, s)
+        try:
+            (k, c), = alg.frac_power(v, Fraction(sign, n)).terms.items()
+        except (FractionalPowerError, NotARootError) as exc:
+            failed.append((pos, v, exc))
+            continue
+        logs[pos] = n * discrete_log_in_mu(c, alg.ctx.n)
+        for col, x in zip(keys, k if wide else (k,)):
+            col[pos] = n * x
+    if failed:
+        for row in table.rows:
+            for pos, v, _ in failed:
+                if row[pos]:
+                    alg.frac_power(v, Fraction(sign * row[pos], m))
+        raise failed[0][2]  # not reached: the character with c n/m = 1 needs b_s itself
     values = {}
     for chi, row in zip(group.elements(), table.rows):
-        acc = one
-        for j, v, powers in support:
-            c = row[j]
-            if c:
-                if c not in powers:
-                    powers[c] = alg.frac_power(v, Fraction(sign * c, m))
-                acc = acc * powers[c]
-        values[chi] = acc
+        key = [sum(map(mul, row, col)) // m for col in keys]
+        values[chi] = alg.zeta_monomial(tuple(key) if wide else key[0],
+                                        sum(map(mul, row, logs)) // m)
     return values
 
 

@@ -11,7 +11,8 @@ it: the Puiseux key k in Z stands for pi^(k/e), so the lattice (1/e)Z is
 held scaled by e, and the wild key is a vector in Z^n.  Products add keys
 in integer arithmetic.  This module holds everything else: coercion of
 scalars, sums, scalar and term-by-term products, negation, subtraction,
-powers, equality, and the inverse and fractional powers of monomials.
+powers, equality, the inverse and fractional powers of monomials, and
+the monomials zeta_N^j X^k that the transpose lift builds.
 
 A product with a scalar (CycNumber, int or Fraction) scales each
 coefficient; it never builds a one-term element for the scalar.  Results
@@ -168,6 +169,11 @@ class LaurentAlgebra:
 
     def monomial(self, exponent, coeff: CycNumber):
         return self.element(self, {self.key_type(exponent): coeff})
+
+    def zeta_monomial(self, key, j: int):
+        """zeta_N^j X^key for a key of this algebra's own type; a root of
+        unity is never zero, so nothing is filtered."""
+        return _trusted(self, {key: self.ctx.zeta_power(j)})
 
     def is_zero(self, x) -> bool:
         return not x.terms

@@ -662,8 +662,7 @@ def check_08_wild(cfg: SuiteConfig):
         w_y = weight_lower_bound(alg.y(1) - one)
         w_yinv = weight_lower_bound(alg.y(1, power=-1) - one)
         w_zeta = weight_lower_bound(zeta)
-        w_alpha = weight_lower_bound(alpha * p - p)
-        bound = alpha_valuation_bound(alpha)
+        w_alpha, bound = alpha_valuation_bound(alpha)
         weights_ok = (w_y == 1 and w_yinv == 1 and w_zeta == p
                       and w_alpha == p - 1 and bound == 1 - p)
         yield _entry(cid, "weight bounds: w(y-1)=1, w(zeta-1)=p, "

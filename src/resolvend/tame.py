@@ -41,9 +41,12 @@ from .localfield import LocalModel, prime_power_base
 from .stickelberger import CharacterTable, DetKernelBasis, pairing_sign
 
 # the unramified search tries coefficients in [-SEARCH_BOUND, SEARCH_BOUND]
-# on at most SEARCH_SUPPORT roots of unity
+# on at most SEARCH_SUPPORT roots of unity, and gives up once the unit
+# certificate has rejected SEARCH_CERTIFICATES candidates whose resolvents are
+# units above p (every clean search accepts the first such candidate)
 SEARCH_BOUND = 2
 SEARCH_SUPPORT = 3
+SEARCH_CERTIFICATES = 8
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,10 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
 
     Returns the first map a(t^i) = phi^i(theta) whose resolvents are all
     units above p and which passes ``unit_certificate``.  Raises
-    SearchFailureError when the bounded space is exhausted.
+    SearchFailureError when the bounded space is exhausted, or when the
+    certificate has rejected SEARCH_CERTIFICATES candidates: units above p
+    should pass it, so a run of rejections means a broken certificate, not
+    an unlucky space.
     """
     t = group.element(t)
     m = element_order(group, t)
@@ -305,6 +311,7 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
     # search and certify over the cyclic span; the certificate transfers to the
     # ambient group because resolvents there only see the restriction to <t>
     habs = FiniteAbelianGroup((m,))
+    rejected = 0
     for cand in _search_candidates(r, SEARCH_BOUND, SEARCH_SUPPORT):
         theta = alg.dot([(root_of_unity(ctx, r, j), ctx.from_rational(coeff)) for j, coeff in cand])
         values = {}
@@ -313,8 +320,15 @@ def unramified_generator_search(group: FiniteAbelianGroup, q: int, t: GroupEleme
             values[(i,)] = current
             current = galois_apply(current, q)
         a = Resolvend(habs, alg, values)
-        if _unit_above_p(to_character_space(a).values(), ctx, p) and unit_certificate(a).ok:
+        if not _unit_above_p(to_character_space(a).values(), ctx, p):
+            continue
+        if unit_certificate(a).ok:
             return Resolvend(group, alg, {group.scale(t, i): values[(i,)] for i in range(m)})
+        rejected += 1
+        if rejected == SEARCH_CERTIFICATES:
+            raise SearchFailureError(
+                f"the unit certificate rejected {rejected} candidates with unit resolvents "
+                f"above {p}, reaching the cap SEARCH_CERTIFICATES = {SEARCH_CERTIFICATES}")
     raise SearchFailureError(
         f"no certified generator with support <= {SEARCH_SUPPORT}, "
         f"coefficients in [-{SEARCH_BOUND},{SEARCH_BOUND}]")

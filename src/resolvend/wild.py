@@ -325,9 +325,9 @@ def weight_lower_bound(x: WildElement):
                 for m, binom in enumerate(row):
                     if binom == 0:
                         continue
+                    # each variable is expanded once, from exponent 0: no key collides
                     key = zexp[:k] + (zexp[k] + m,) + zexp[k + 1:]
-                    add = zc * binom
-                    new[key] = new[key] + add if key in new else add
+                    new[key] = zc * binom
             expansion = new
         for zexp, zc in expansion.items():
             zterms[zexp] = zterms[zexp] + zc if zexp in zterms else zc
@@ -340,19 +340,20 @@ def weight_lower_bound(x: WildElement):
     return best
 
 
-def alpha_valuation_bound(alpha: WildElement):
-    """The certified chain: weight_lower_bound(p*alpha - p) >= 1 and alpha
-    omega-invariant give v_L(alpha) >= ceil((W - p(p-1))/(p-1)) with
-    W = min(bound, p(p-1)); the target inequality is v_L(alpha) >= 1 - p."""
+def alpha_valuation_bound(alpha: WildElement) -> tuple:
+    """The certified chain, returned as (W, bound) with
+    W = weight_lower_bound(p*alpha - p): W >= 1 and alpha omega-invariant give
+    v_L(alpha) >= bound = ceil((min(W, p(p-1)) - p(p-1))/(p-1)); the target
+    inequality is v_L(alpha) >= 1 - p."""
     p = alpha.algebra.p
     if not is_omega_invariant(alpha):
         raise PreconditionError("alpha is not omega-invariant; no descent to L")
     w = weight_lower_bound(alpha * p - p)
     if w == INF:
-        return INF
+        return w, INF
     scaled = min(w, p * (p - 1)) - p * (p - 1)
     num = Fraction(scaled, p - 1)
-    return -((-num.numerator) // num.denominator)  # ceil
+    return w, -((-num.numerator) // num.denominator)  # ceil
 
 
 # -- unit resolvents and products ---------------------------------------------
@@ -362,10 +363,8 @@ def wild_unit_resolvents(a: Resolvend) -> bool:
     """Every resolvent of the wild generator a is a unit monomial and
     r(a) r(a)^{[-1]} = 1."""
     group, alg = a.group, a.algebra
-    values = to_character_space(a)
-    for chi, value in values.items():
-        if not alg.is_unit_monomial(value) or value * values[group.neg(chi)] != alg.one():
-            return False
+    if not all(map(alg.is_unit_monomial, to_character_space(a).values())):
+        return False
     return a * involution(a) == delta_resolvend(group, alg, group.identity)
 
 

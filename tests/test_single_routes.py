@@ -1,15 +1,20 @@
-"""One route to character space and one integrality test.
+"""One route to character space, one integrality test and one transpose lift.
 
 Resolvents outside ``groupring`` come from ``to_character_space``, and
 integrality is decided by ``groupring.nonintegral_coefficients``.  The
 per-character and per-coefficient loops they replaced are kept here
 verbatim as oracles: the certificates must give the same JSON, and the
 tables, identities and searches the same rows, booleans and maps, with and
-without each fault switched on.
+without each fault switched on.  ``transpose_lift`` works in exponent space;
+its product of fractional powers is kept here too, and the two must give
+the same lift, or raise the same error.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import textwrap
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -17,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvend import faults, tame
+from resolvend import faults, groupring, suite, tame, wild
 from resolvend.cyclotomic import CycAlgebra, CycContext, CycNumber, galois_apply, root_of_unity
 from resolvend.errors import (
     NotAGeneratorError,
@@ -40,11 +45,12 @@ from resolvend.groupring import (
 )
 from resolvend.localfield import LocalModel, prime_power_base
 from resolvend.stickelberger import CharacterTable, DetKernelBasis, pairing_sign
-from resolvend.suite import TAME_Q, SuiteConfig, _composite
+from resolvend.suite import TAME_Q, SuiteConfig, _composite, run_suite
 from resolvend.tame import (
     TameHom,
     _search_candidates,
     _unit_above_p,
+    build_model,
     decompose_tame_resolvend,
     prime_element_map,
     resolvent_table,
@@ -435,3 +441,201 @@ def test_search_without_the_prefilter_finds_the_same_map(spec, q, t, r, index, r
     assert (at, dropped) == (index, rejected)
     a = unramified_generator_search(group, q, t, r)
     assert a == found and a.algebra.ctx is found.algebra.ctx
+
+
+@pytest.mark.parametrize("spec,q,t,r", [
+    ((3, 3), 7, (0, 1), 19), ((3,), 7, (1,), 9), ((3,), 2, (1,), 7), ((5,), 3, (1,), 11),
+])
+def test_clean_searches_run_the_certificate_once(monkeypatch, spec, q, t, r):
+    """Each search accepts the first candidate whose resolvents are units
+    above p, so ``tame.SEARCH_CERTIFICATES`` leaves room to spare."""
+    calls = []
+    certify = tame.unit_certificate
+    monkeypatch.setattr(tame, "unit_certificate", lambda a: calls.append(a) or certify(a))
+    unramified_generator_search(FiniteAbelianGroup(spec), q, t, r)
+    assert len(calls) == 1 < tame.SEARCH_CERTIFICATES
+
+
+# -- the transpose lift ------------------------------------------------------------
+
+
+def _transpose_lift_by_powers(g: Resolvend) -> dict:
+    """The lift as a product of fractional powers g(s)^(c/exp(G)), one per
+    character and support element, each power shared by the characters
+    with that c."""
+    group, alg = g.group, g.algebra
+    table = CharacterTable(group)
+    sign, m = pairing_sign(), group.exponent
+    one = alg.one()
+    support = [(j, v, {}) for j, v in enumerate(map(g.value, group.elements()))
+               if j and v != one]  # position 0 is the identity
+    values = {}
+    for chi, row in zip(group.elements(), table.rows):
+        acc = one
+        for j, v, powers in support:
+            c = row[j]
+            if c:
+                if c not in powers:
+                    powers[c] = alg.frac_power(v, Fraction(sign * c, m))
+                acc = acc * powers[c]
+        values[chi] = acc
+    return values
+
+
+@functools.cache
+def _check_03_maps() -> tuple:
+    """The distinct maps that check 03 lifts at seeds 0-3, recorded from the
+    suite; they do not depend on a fault."""
+    seen: dict = {}
+
+    def record(g):
+        seen.setdefault((g.group, frozenset(g.values.items())), g)
+        return transpose_lift(g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "transpose_lift", record)
+        for seed in range(4):
+            run_suite(checks=["03"], seed=seed)
+    return tuple(seen.values())
+
+
+def _prime_element_maps() -> list:
+    """f_s for every s of each tame group of checks 04 and 06, and of the
+    composite of check 05."""
+    groups = [(FiniteAbelianGroup((e,)), build_model(e, q)) for e, q in sorted(TAME_Q.items())]
+    groups.append((C33, LocalModel(3, 7, 57)))
+    return [prime_element_map(group, model, s)
+            for group, model in groups for s in group.elements()]
+
+
+def _pth_power_maps() -> list:
+    """g(t^c(i)) = y_i^p on Z/p, for p = 3, 5 and 7, as check 08 lifts it."""
+    return [pth_power_map(FiniteAbelianGroup((p,)), (1,), WildAlgebra(p)) for p in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.ALL_FAULTS)
+def test_transpose_lift_matches_its_powers_under_each_fault(fault):
+    maps = _check_03_maps() + tuple(_prime_element_maps()) + tuple(_pth_power_maps())
+    assert len(_check_03_maps()) > 300
+    with faults.inject(fault) if fault else nullcontext():
+        for g in maps:
+            assert transpose_lift(g) == _transpose_lift_by_powers(g)
+
+
+# the wild algebras' keys are vectors, the Puiseux keys integers; a
+# conductor above exp(G) has roots of roots of unity other than 1
+LIFT_ALGEBRAS = (
+    (C3, MODEL), (C33, MODEL), (C3, LocalModel(3, 7, 15)), (C33, LocalModel(3, 7, 57)),
+    (FiniteAbelianGroup((5,)), LocalModel(5, 11, 15)),
+    (FiniteAbelianGroup((9,)), LocalModel(9, 19, 27)),
+    (FiniteAbelianGroup((15,)), LocalModel(15, 31, 15)),
+    (C3, WildAlgebra(3)), (C33, WildAlgebra(3, copies=2)),
+    (FiniteAbelianGroup((5,)), WildAlgebra(5)),
+)
+
+
+@st.composite
+def monomial_maps(draw):
+    """A map of zeta_N^j X^k values, with X = pi^(1/e) or a y-variable.
+    For about half the maps, j and each coordinate of k are multiples of
+    exp(G), so that every root the lift takes exists; for the rest they are
+    anything, so that some roots do not."""
+    group, alg = draw(st.sampled_from(LIFT_ALGEBRAS))
+    m, n = group.exponent, alg.ctx.n
+    wide = isinstance(alg.unit_key, tuple)
+    offsets = (0,) if draw(st.booleans()) else (0, 0, 0, 1, -1, 2)
+
+    def coordinate():
+        return m * draw(st.integers(-2, 2)) + draw(st.sampled_from(offsets))
+
+    values = {}
+    for s in group.elements():
+        if draw(st.integers(0, 4)):
+            key = tuple(coordinate() for _ in alg.unit_key) if wide else coordinate()
+            values[s] = alg.zeta_monomial(key, (m * draw(st.integers(0, n)) + draw(
+                st.sampled_from(offsets))) % n)
+        else:
+            values[s] = alg.one()
+    return Resolvend(group, alg, values), draw(st.sampled_from((None,) + faults.ALL_FAULTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_maps())
+def test_transpose_lift_matches_its_powers_on_monomial_maps(data):
+    g, fault = data
+    with faults.inject(fault) if fault else nullcontext():
+        assert _outcome(transpose_lift, g) == _outcome(_transpose_lift_by_powers, g)
+
+
+def _with_ones(group, alg, values: dict) -> Resolvend:
+    return Resolvend(group, alg, {s: alg.one() for s in group.elements()} | values)
+
+
+LIFT_ERRORS = {
+    "not-a-monomial": (_with_ones(C3, MODEL, {(1,): MODEL.one() + MODEL.pi_power(1)}),
+                       "FractionalPowerError", "fractional powers need a monomial"),
+    "zero": (Resolvend(C3, MODEL, {(0,): MODEL.one()}),
+             "FractionalPowerError", "fractional powers need a monomial"),
+    "not-a-root": (_with_ones(C3, MODEL, {(1,): MODEL.from_rational(2)}),
+                   "NotARootError", "value is not in mu_3"),
+    "no-root-at-this-conductor": (
+        _with_ones(C3, MODEL, {(1,): MODEL.monomial(0, MODEL.ctx.zeta_power(1))}),
+        "FractionalPowerError", "no 3-th root of zeta^1 at conductor 3"),
+    "off-the-lattice": (_with_ones(C3, MODEL, {(2,): MODEL.pi_power(Fraction(1, 3))}),
+                        "FractionalPowerError", "exponent -1/9 leaves (1/3)Z"),
+    "off-the-wild-lattice": (_with_ones(C3, WildAlgebra(3), {(1,): WildAlgebra(3).y(1)}),
+                             "FractionalPowerError", "exponent 1/3 is not integral"),
+    # character (0, 1) reaches (1, 1) and skips (1, 0), whose position is lower
+    "character-before-element": (
+        _with_ones(C33, MODEL, {(1, 0): MODEL.one() + MODEL.pi_power(1),
+                                (1, 1): MODEL.monomial(0, MODEL.ctx.zeta_power(1))}),
+        "FractionalPowerError", "no 3-th root of zeta^1 at conductor 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_ERRORS))
+def test_transpose_lift_raises_the_first_error_of_its_powers(name):
+    g, kind, message = LIFT_ERRORS[name]
+    assert _outcome(transpose_lift, g) == _outcome(_transpose_lift_by_powers, g) == (
+        kind, message)
+
+
+def _faulty_lift(monkeypatch, exact: str, faulty: str):
+    """Compile ``transpose_lift`` from its own source with ``exact``
+    replaced by ``faulty`` and patch it into every module that calls it."""
+    source = inspect.getsource(groupring.transpose_lift)
+    assert source.count(exact) == 1
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source.replace(exact, faulty)), groupring.__file__, "exec"),
+         vars(groupring), namespace)
+    for module in (groupring, suite, tame, wild):
+        monkeypatch.setattr(module, "transpose_lift", namespace["transpose_lift"])
+    return namespace["transpose_lift"]
+
+
+def test_checks_05_and_08_fail_when_the_lift_drops_the_key_rescale(monkeypatch):
+    """Keys k_s of the roots b_s summed without the factor n = |s| give a
+    wrong exponent wherever the lift is not 1: the composite's unit part
+    is not integral, and the wild resolvent identity fails at every p.
+    Check 03 passes: each map it draws is constant on the power-twist
+    orbits, over which the centered pairing sums to 0, so every lift it
+    takes is 1, by either formula."""
+    _faulty_lift(monkeypatch, "col[pos] = n * x", "col[pos] = x")
+    failed = [(e.check_id, e.params.get("aspect"), e.params.get("p"))
+              for e in run_suite(checks=["03", "05", "08"]).entries if not e.ok]
+    assert failed == [("05-decompose-roundtrip", "decompose", None),
+                      ("05-decompose-roundtrip", "recompose", None)] + [
+        ("08-wild-verification", "resolvent-identity", p) for p in (3, 5, 7)]
+
+
+def test_only_the_oracle_sees_the_lift_drop_the_root_of_unity(monkeypatch):
+    """No suite input lifts a value whose coefficient is not 1, so a lift
+    that drops the zeta exponent still passes the suite (check 03 is shown
+    here); the oracle above is what catches it."""
+    model = LocalModel(3, 7, 57)
+    g = _with_ones(C3, model, {(1,): model.monomial(1, model.ctx.zeta_power(3))})
+    clean = transpose_lift(g)
+    assert clean == _transpose_lift_by_powers(g)
+    faulty = _faulty_lift(monkeypatch, "sum(map(mul, row, logs)) // m", "0")
+    assert faulty(g) != _transpose_lift_by_powers(g)
+    assert all(e.ok for e in run_suite(checks=["03"]).entries)

@@ -6,6 +6,7 @@ import inspect
 import json
 import random
 import textwrap
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -678,3 +679,24 @@ def test_check_10_fails_when_a_sum_of_products_skips_the_rescale(
     entries = run_suite(checks=["10"]).entries
     assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
         ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 2")]
+
+
+def test_check_05_fails_fast_when_the_certificate_rejects_every_unit(monkeypatch):
+    """An integrality test that also rejects valuation 0 rejects every unit,
+    so the unramified search can accept no candidate.  It gives up after
+    ``tame.SEARCH_CERTIFICATES`` certificate rejections, within a second,
+    instead of walking all 64,828 candidates at r = 19."""
+    source = inspect.getsource(groupring.nonintegral_coefficients)
+    assert source.count("if val < 0:") == 1
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source.replace("if val < 0:", "if val <= 0:")),
+                 groupring.__file__, "exec"), vars(groupring), namespace)
+    monkeypatch.setattr(groupring, "nonintegral_coefficients", namespace["nonintegral_coefficients"])
+    start = time.perf_counter()
+    entries = run_suite(checks=["05"]).entries
+    assert time.perf_counter() - start < 10
+    assert [(e.check_id, e.status, e.witness) for e in entries] == [(
+        "05-decompose-roundtrip", "fail",
+        f"SearchFailureError: the unit certificate rejected {tame.SEARCH_CERTIFICATES} "
+        f"candidates with unit resolvents above 7, reaching the cap SEARCH_CERTIFICATES = "
+        f"{tame.SEARCH_CERTIFICATES}")]

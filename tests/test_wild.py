@@ -301,11 +301,19 @@ def test_weight_bounds():
 
 
 def test_alpha_valuation_bound():
-    assert alpha_valuation_bound(build_alpha(WildAlgebra(3))) == -2
-    assert alpha_valuation_bound(build_alpha(WildAlgebra(5))) == -4
-    assert alpha_valuation_bound(build_alpha(WildAlgebra(7))) == -6
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(3)))[1] == -2
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(5)))[1] == -4
+    assert alpha_valuation_bound(build_alpha(WildAlgebra(7)))[1] == -6
     with pytest.raises(PreconditionError):
         alpha_valuation_bound(WildAlgebra(3).y(1))  # not omega-invariant
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_alpha_valuation_bound_returns_the_weight_it_used(p):
+    """The pair is the weight of p*alpha - p, computed on its own, and the
+    bound that weight gives; check 08 and wild-verify report both."""
+    alpha = build_alpha(WildAlgebra(p))
+    assert alpha_valuation_bound(alpha) == (weight_lower_bound(alpha * p - p), 1 - p)
 
 
 def test_elementary_products():
