@@ -139,10 +139,13 @@ class CycContext:
         return f"CycContext({self.n})"
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector of degree below
-        max(N, 2 phi - 1) mod Phi_N."""
+        """Reduce an integer coefficient vector of at least phi and at most
+        max(N, 2 phi - 1) entries mod Phi_N."""
         phi = self.phi
-        out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
+        if len(vec) < phi:
+            raise PreconditionError(f"reduce needs at least phi = {phi} coefficients, "
+                                    f"got {len(vec)}")
+        out = list(vec[:phi])
         terms = self.xpow_terms
         for k in range(phi, len(vec)):
             c = vec[k]

@@ -397,9 +397,11 @@ def test_sparse_rows_match_division_by_phi(n):
         if k < n:
             assert ctx.zetas[k].num == tuple(row)
     rng = random.Random(f"sparse-rows:{n}")
-    for length in (1, ctx.phi, ctx.phi + 1, 2 * ctx.phi - 1, len(ctx.xpow_terms)):
+    for length in (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 1, len(ctx.xpow_terms)):
         vec = [rng.choice((0, 0, -3, 1, 7)) for _ in range(length)]
         assert list(ctx.reduce(vec)) == _remainder_mod_phi(vec, ctx.poly)
+    with pytest.raises(PreconditionError, match=f"at least phi = {ctx.phi} coefficients, got 1"):
+        ctx.reduce([7])
 
 
 def test_roots_of_unity_are_built_once_per_conductor():

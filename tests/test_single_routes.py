@@ -7,13 +7,16 @@ verbatim as oracles: the certificates must give the same JSON, and the
 tables, identities and searches the same rows, booleans and maps, with and
 without each fault switched on.  ``transpose_lift`` works in exponent space;
 its product of fractional powers is kept here too, and the two must give
-the same lift, or raise the same error.
+the same lift, or raise the same error.  Check 03 verifies each distinct
+map once; its per-trial loop is kept here, and the two must give the same
+entries.
 """
 from __future__ import annotations
 
 import functools
 import inspect
 import math
+import random
 import textwrap
 from contextlib import nullcontext
 from fractions import Fraction
@@ -45,7 +48,15 @@ from resolvend.groupring import (
 )
 from resolvend.localfield import LocalModel, prime_power_base
 from resolvend.stickelberger import CharacterTable, DetKernelBasis, pairing_sign
-from resolvend.suite import TAME_Q, SuiteConfig, _composite, run_suite
+from resolvend.suite import (
+    SELF_DUALITY_GROUPS,
+    TAME_Q,
+    SuiteConfig,
+    _below,
+    _composite,
+    _entry,
+    run_suite,
+)
 from resolvend.tame import (
     TameHom,
     _search_candidates,
@@ -639,3 +650,95 @@ def test_only_the_oracle_sees_the_lift_drop_the_root_of_unity(monkeypatch):
     faulty = _faulty_lift(monkeypatch, "sum(map(mul, row, logs)) // m", "0")
     assert faulty(g) != _transpose_lift_by_powers(g)
     assert all(e.ok for e in run_suite(checks=["03"]).entries)
+
+
+# -- check 03, one verification per distinct map -----------------------------------
+
+
+def _check_03_by_trials(cfg: SuiteConfig):
+    """Check 03 with every trial verified, repeated maps included; it lifts
+    through ``suite.transpose_lift``, so a patched lift reaches it too."""
+    identity = ("the lift of a unit-valued class map satisfies "
+                "r * involution(r) = 1 under exact convolution")
+    trials = 100
+    for spec in SELF_DUALITY_GROUPS:
+        group = FiniteAbelianGroup(spec)
+        e = group.exponent
+        model = build_model(e, TAME_Q[e])
+        rng = random.Random(f"{cfg.seed}:self-duality:{group.spec}")
+        units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+        orbit_of: dict = {}
+        reps = []
+        for s in group.elements():
+            if s in orbit_of:
+                continue
+            for k in units:
+                orbit_of[group.scale(s, k)] = len(reps)
+            reps.append(s)
+        one = delta_resolvend(group, model, group.identity)
+        witness = None
+        for trial in range(trials):
+            exps = [_below(rng.getrandbits, 5) - 2 for _ in reps]
+            values = {s: model.pi_power(exps[orbit_of[s]]) for s in group.elements()}
+            values[group.identity] = model.one()
+            g = Resolvend(group, model, values)
+            r = from_character_space(group, model, suite.transpose_lift(g))
+            if r * involution(r) != one:
+                witness = f"trial {trial} exponents {exps}"
+                break
+        yield _entry("03-self-duality", identity,
+                     {"group": group.spec, "trials": trials, "seed": cfg.seed},
+                     witness is None, witness)
+
+
+def _check_03_against_its_trials() -> list:
+    """Check 03's entries at seeds 0-3, each required equal to the
+    per-trial loop's; returns them."""
+    entries = []
+    for seed in range(4):
+        cfg = SuiteConfig(seed=seed)
+        got = [e.to_json() for e in suite.check_03_self_duality(cfg)]
+        assert got == [e.to_json() for e in _check_03_by_trials(cfg)]
+        entries += got
+    return entries
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.ALL_FAULTS)
+def test_check_03_matches_its_per_trial_loop_under_each_fault(fault):
+    with faults.inject(fault) if fault else nullcontext():
+        assert all(e["status"] == "pass" for e in _check_03_against_its_trials())
+
+
+# lifts that break r * r^[-1] = 1 on some of check 03's maps and not on others
+CHECK_03_LIFT_MUTANTS = {
+    "position-for-order": ("col[pos] = n * x", "col[pos] = pos * x"),
+    "shifted-above-key-1": ("col[pos] = n * x", "col[pos] = n * x + (x > 1) * pos"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_03_LIFT_MUTANTS))
+def test_check_03_matches_its_per_trial_loop_under_a_faulty_lift(monkeypatch, name):
+    """Each mutant passes the map of trial 0 in some entry and fails a later
+    one, so the witness's trial index and exponents are compared too."""
+    _faulty_lift(monkeypatch, *CHECK_03_LIFT_MUTANTS[name])
+    witnesses = [e["witness"] for e in _check_03_against_its_trials() if "witness" in e]
+    assert any(not w.startswith("trial 0 ") for w in witnesses)
+
+
+def test_check_03_verifies_each_distinct_map_once(monkeypatch):
+    """Check 03 draws 500 maps per seed, 100 per group, and lifts only the
+    distinct ones."""
+    lifted = []
+
+    def record(g):
+        lifted.append((g.group, frozenset(g.values.items())))
+        return transpose_lift(g)
+
+    monkeypatch.setattr(suite, "transpose_lift", record)
+    counts = []
+    for seed in range(4):
+        lifted.clear()
+        assert run_suite(checks=["03"], seed=seed).ok
+        assert len(set(lifted)) == len(lifted)
+        counts.append(len(lifted))
+    assert counts == [129, 133, 128, 135]
