@@ -124,13 +124,13 @@ def cmd_kernel_basis(args) -> tuple:
 
 
 def cmd_theta(args) -> tuple:
-    from .stickelberger import DetKernelBasis, det_map, integrality_check, stickelberger_map
+    from .stickelberger import DetKernelBasis, det_map, stickelberger_map
     group = _parse_group(args.group)
     psi = _parse_psi(args.psi, group)
     theta = stickelberger_map(group, psi)
     det = det_map(group, psi)
     basis = DetKernelBasis(group)
-    integral = integrality_check(group, psi)
+    integral = all(v.denominator == 1 for v in theta.values())
     det_trivial = det == tuple([0] * group.rank)
     result = {"group": group.spec,
               "psi": {_label(chi): c for chi, c in sorted(psi.items())},

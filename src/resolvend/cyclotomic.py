@@ -538,12 +538,6 @@ class CycAlgebra:
     def dot(self, pairs) -> CycNumber:
         return cyc_dot(self.ctx, pairs)
 
-    def frac_power(self, x: CycNumber, e: Fraction) -> CycNumber:
-        e = Fraction(e)
-        if e.denominator == 1:
-            return x ** e.numerator
-        return cyc_root(x, e)
-
     def val(self, x: CycNumber):
         """Lower bound min over P | p of v_P(x): the content order."""
         if self.p is None:

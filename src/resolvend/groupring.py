@@ -19,11 +19,11 @@ The coefficient algebra is duck-typed: exact cyclotomic numbers
 (``CycAlgebra``) or either sparse Laurent algebra over Q(zeta_N) built on
 ``laurent`` -- the Puiseux model of ``localfield`` and the formal wild
 algebra of ``wild``.  The algebra object exposes ``ctx`` and
-zero/one/is_zero/inv/frac_power/val and ``dot`` (the sum of x * y over a
-list of pairs, a CycNumber y acting as a constant, in one pass), a local
-model for ``generator_certificate`` also ``in_base_field``, a Laurent
-algebra for ``transpose_lift`` also ``unit_key`` and ``zeta_monomial``, and
-the values carry exact ring arithmetic.  Every sum of products here --
+zero/one/is_zero/inv/val and ``dot`` (the sum of x * y over a list of
+pairs, a CycNumber y acting as a constant, in one pass), a local model for
+``generator_certificate`` also ``in_base_field``, a Laurent algebra for
+``transpose_lift`` also ``frac_power``, ``unit_key`` and ``zeta_monomial``,
+and the values carry exact ring arithmetic.  Every sum of products here --
 convolution, resolvents, the trace form -- is one ``dot`` per output value.
 Inversion always happens pointwise in character space.
 """

@@ -17,7 +17,10 @@ weight(y_i - 1) = 1, weight(zeta - 1) = p, weight(p) = p(p-1).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, product
+from math import comb, prod
+from operator import add
 
 from .cyclotomic import CycContext, CycNumber, cyc_inverse, galois_apply
 from .errors import FractionalPowerError, PreconditionError
@@ -171,13 +174,10 @@ def omega_action(x: WildElement, j: int) -> WildElement:
     alg = x.algebra
     p = alg.p
     k = omega_exponent(p, j) % p
-    terms = {}
-    for exps, c in x.terms.items():
-        new = [0] * alg.nvars
-        for copy in range(alg.copies):
-            for i in range(1, p):
-                new[alg.var_index(j * i % p, copy)] = exps[alg.var_index(i, copy)]
-        terms[tuple(new)] = galois_apply(c, k)
+    # the new exponent of y_i is the old exponent of y_{i/j}, block by block
+    j_inv = pow(j, -1, p)
+    src = [copy * (p - 1) + i * j_inv % p - 1 for copy in range(alg.copies) for i in range(1, p)]
+    terms = {tuple(exps[v] for v in src): galois_apply(c, k) for exps, c in x.terms.items()}
     return WildElement(alg, terms)
 
 
@@ -186,13 +186,11 @@ def tau_action(x: WildElement, j: int, copy: int = 0) -> WildElement:
     coefficients and other blocks fixed."""
     alg = x.algebra
     p = alg.p
-    cj = centered(p, j)
-    cm1 = centered(p, -1)
+    scale = centered(p, -1) * centered(p, j)
+    phases = [(alg.var_index(i, copy), omega_exponent(p, i) * scale) for i in range(1, p)]
     terms = {}
     for exps, c in x.terms.items():
-        phase = 0
-        for i in range(1, p):
-            phase += omega_exponent(p, i) * cm1 * cj * exps[alg.var_index(i, copy)]
+        phase = sum(exps[v] * f for v, f in phases)
         terms[exps] = c * alg.ctx.zeta_power(phase % p)
     return WildElement(alg, terms)
 
@@ -299,45 +297,23 @@ def weight_lower_bound(x: WildElement):
     """Certified lower bound for v_{L(zeta)}(x): rewrite in z_i = y_i - 1 and
     take the minimum of (sum of z-exponents) + p * ord_{zeta-1}(coefficient).
     Exact on monomials; a lower bound in general."""
-    alg = x.algebra
-    p = alg.p
-    if not x.terms:
-        return INF
+    p = x.algebra.p
     # clear negative exponents with a unit monomial shift
-    shift = [0] * alg.nvars
-    for exps in x.terms:
-        for k, e in enumerate(exps):
-            shift[k] = max(shift[k], -e)
-    # expand each shifted monomial in the z-basis, coefficients stay exact
+    shift = [max(0, -min(col)) for col in zip(*x.terms)]
+    # c y^b = sum_m c prod_i C(b_i, m_i) z^m, coefficients stay exact; the
+    # two products walk the exponents m and the binomial rows in step
     zterms: dict = {}
     for exps, c in x.terms.items():
-        expansion = {(0,) * alg.nvars: c}
-        for k, e in enumerate(exps):
-            n = e + shift[k]
-            if n == 0:
-                continue
-            # y^n = sum_m C(n, m) z^m
-            row = [1]
-            for _ in range(n):
-                row = [a + b for a, b in zip(row + [0], [0] + row)]
-            new: dict = {}
-            for zexp, zc in expansion.items():
-                for m, binom in enumerate(row):
-                    if binom == 0:
-                        continue
-                    # each variable is expanded once, from exponent 0: no key collides
-                    key = zexp[:k] + (zexp[k] + m,) + zexp[k + 1:]
-                    new[key] = zc * binom
-            expansion = new
-        for zexp, zc in expansion.items():
+        rows = [[comb(n, m) for m in range(n + 1)] for n in map(add, exps, shift)]
+        zexps = product(*(range(len(row)) for row in rows))
+        # c * binom once per distinct binomial product, shared by its z-terms
+        scaled = cache(c.__mul__)
+        for zexp, binoms in zip(zexps, product(*rows)):
+            zc = scaled(prod(binoms))
             zterms[zexp] = zterms[zexp] + zc if zexp in zterms else zc
-    best = INF
-    for zexp, zc in zterms.items():
-        if zc.is_zero():
-            continue
-        w = sum(zexp) + p * _zeta_minus_one_ord(zc)
-        best = min(best, w)
-    return best
+    # a z-term that cancelled has ord INF, so it never sets the minimum
+    return min((sum(zexp) + p * _zeta_minus_one_ord(zc) for zexp, zc in zterms.items()),
+               default=INF)
 
 
 def alpha_valuation_bound(alpha: WildElement) -> tuple:
@@ -352,8 +328,7 @@ def alpha_valuation_bound(alpha: WildElement) -> tuple:
     if w == INF:
         return w, INF
     scaled = min(w, p * (p - 1)) - p * (p - 1)
-    num = Fraction(scaled, p - 1)
-    return w, -((-num.numerator) // num.denominator)  # ceil
+    return w, -(-scaled // (p - 1))  # ceil
 
 
 # -- unit resolvents and products ---------------------------------------------

@@ -9,7 +9,10 @@ without each fault switched on.  ``transpose_lift`` works in exponent space;
 its product of fractional powers is kept here too, and the two must give
 the same lift, or raise the same error.  Check 03 verifies each distinct
 map once; its per-trial loop is kept here, and the two must give the same
-entries.
+entries.  The wild actions and the weight build their integer tables once
+per call; their per-term loops, the Pascal-row expansion and the
+``Fraction`` ceiling are kept here, and must give the same elements,
+weights and bounds, with and without each fault.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from resolvend.cyclotomic import CycAlgebra, CycContext, CycNumber, galois_apply
 from resolvend.errors import (
     NotAGeneratorError,
     NotInvertibleError,
+    PreconditionError,
     ResolvendError,
     SingularResolvendError,
 )
@@ -70,6 +74,7 @@ from resolvend.tame import (
 )
 from resolvend.wild import (
     WildAlgebra,
+    WildElement,
     elementary_product_check,
     pth_power_map,
     wild_generator,
@@ -611,17 +616,22 @@ def test_transpose_lift_raises_the_first_error_of_its_powers(name):
         kind, message)
 
 
-def _faulty_lift(monkeypatch, exact: str, faulty: str):
-    """Compile ``transpose_lift`` from its own source with ``exact``
-    replaced by ``faulty`` and patch it into every module that calls it."""
-    source = inspect.getsource(groupring.transpose_lift)
+def _faulty(monkeypatch, home, name: str, exact: str, faulty: str, modules: tuple):
+    """Compile ``home.<name>`` from its own source with ``exact`` replaced
+    by ``faulty`` and patch it into ``modules``, every module that calls it."""
+    source = inspect.getsource(getattr(home, name))
     assert source.count(exact) == 1
     namespace: dict = {}
-    exec(compile(textwrap.dedent(source.replace(exact, faulty)), groupring.__file__, "exec"),
-         vars(groupring), namespace)
-    for module in (groupring, suite, tame, wild):
-        monkeypatch.setattr(module, "transpose_lift", namespace["transpose_lift"])
-    return namespace["transpose_lift"]
+    exec(compile(textwrap.dedent(source.replace(exact, faulty)), home.__file__, "exec"),
+         vars(home), namespace)
+    for module in modules:
+        monkeypatch.setattr(module, name, namespace[name])
+    return namespace[name]
+
+
+def _faulty_lift(monkeypatch, exact: str, faulty: str):
+    return _faulty(monkeypatch, groupring, "transpose_lift", exact, faulty,
+                   (groupring, suite, tame, wild))
 
 
 def test_checks_05_and_08_fail_when_the_lift_drops_the_key_rescale(monkeypatch):
@@ -742,3 +752,198 @@ def test_check_03_verifies_each_distinct_map_once(monkeypatch):
         assert len(set(lifted)) == len(lifted)
         counts.append(len(lifted))
     assert counts == [129, 133, 128, 135]
+
+
+# -- the wild actions and the weight, tables built once per call ------------------
+
+
+def _omega_action_by_terms(x: WildElement, j: int) -> WildElement:
+    """omega_j with two ``var_index`` look-ups per variable of every term."""
+    alg = x.algebra
+    p = alg.p
+    k = wild.omega_exponent(p, j) % p
+    terms = {}
+    for exps, c in x.terms.items():
+        new = [0] * alg.nvars
+        for copy in range(alg.copies):
+            for i in range(1, p):
+                new[alg.var_index(j * i % p, copy)] = exps[alg.var_index(i, copy)]
+        terms[tuple(new)] = galois_apply(c, k)
+    return WildElement(alg, terms)
+
+
+def _tau_action_by_terms(x: WildElement, j: int, copy: int = 0) -> WildElement:
+    """tau~^{c(j)} with p - 1 calls of ``omega_exponent`` per term."""
+    alg = x.algebra
+    p = alg.p
+    cj = wild.centered(p, j)
+    cm1 = wild.centered(p, -1)
+    terms = {}
+    for exps, c in x.terms.items():
+        phase = 0
+        for i in range(1, p):
+            phase += wild.omega_exponent(p, i) * cm1 * cj * exps[alg.var_index(i, copy)]
+        terms[exps] = c * alg.ctx.zeta_power(phase % p)
+    return WildElement(alg, terms)
+
+
+def _weight_by_pascal_rows(x: WildElement):
+    """The weight with each shifted monomial expanded one variable at a
+    time, through a Pascal row built by additions."""
+    alg = x.algebra
+    p = alg.p
+    if not x.terms:
+        return wild.INF
+    shift = [0] * alg.nvars
+    for exps in x.terms:
+        for k, e in enumerate(exps):
+            shift[k] = max(shift[k], -e)
+    zterms: dict = {}
+    for exps, c in x.terms.items():
+        expansion = {(0,) * alg.nvars: c}
+        for k, e in enumerate(exps):
+            n = e + shift[k]
+            if n == 0:
+                continue
+            row = [1]
+            for _ in range(n):
+                row = [a + b for a, b in zip(row + [0], [0] + row)]
+            new: dict = {}
+            for zexp, zc in expansion.items():
+                for m, binom in enumerate(row):
+                    if binom == 0:
+                        continue
+                    key = zexp[:k] + (zexp[k] + m,) + zexp[k + 1:]
+                    new[key] = zc * binom
+            expansion = new
+        for zexp, zc in expansion.items():
+            zterms[zexp] = zterms[zexp] + zc if zexp in zterms else zc
+    best = wild.INF
+    for zexp, zc in zterms.items():
+        if zc.is_zero():
+            continue
+        w = sum(zexp) + p * wild._zeta_minus_one_ord(zc)
+        best = min(best, w)
+    return best
+
+
+def _ceiling_by_fraction(w: int, p: int) -> int:
+    scaled = min(w, p * (p - 1)) - p * (p - 1)
+    num = Fraction(scaled, p - 1)
+    return -((-num.numerator) // num.denominator)
+
+
+def _alpha_valuation_bound_by_fraction(alpha: WildElement) -> tuple:
+    p = alpha.algebra.p
+    if not all(_omega_action_by_terms(alpha, j) == alpha for j in range(1, p)):
+        raise PreconditionError("alpha is not omega-invariant; no descent to L")
+    w = _weight_by_pascal_rows(alpha * p - p)
+    if w == wild.INF:
+        return w, wild.INF
+    return w, _ceiling_by_fraction(w, p)
+
+
+WILD_ALGEBRAS = [WildAlgebra(p, copies) for p in (3, 5, 7) for copies in (1, 2)]
+
+
+def _random_wild_element(rng: random.Random, alg: WildAlgebra) -> WildElement:
+    """One to four monomials in at most four of the variables, exponents in
+    [-2, 2], each coefficient scaled by p^k for k in [-2, 2] or by 1/3; at
+    most four shifted columns keep the weight's expansion small."""
+    p = alg.p
+    active = rng.sample(range(alg.nvars), min(alg.nvars, 4))
+    scales = [Fraction(p) ** k for k in range(-2, 3)] + [Fraction(1, 3)]
+    x = alg.zero()
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * alg.nvars
+        for v in active:
+            exps[v] = rng.randint(-2, 2)
+        coeff = CycNumber(alg.ctx, [rng.randint(-2, 2) for _ in range(alg.ctx.phi)])
+        x = x + alg.monomial(exps, coeff * rng.choice(scales))
+    return x
+
+
+def _wild_inputs(alg: WildAlgebra) -> tuple[list, list]:
+    """Seeded elements of two shapes: check 08's dense ones, and sparse ones
+    with negative exponents and p or p^2 in the denominators.  The weight
+    takes the dense ones only up to eight variables, where their expansion
+    stays small."""
+    rng = random.Random(f"wild-tables:{alg.p}:{alg.copies}")
+    dense = [suite._random_wild(rng, alg) for _ in range(4)]
+    sparse = [_random_wild_element(rng, alg) for _ in range(8)]
+    return dense + sparse, sparse + dense * (alg.nvars <= 8)
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.ALL_FAULTS)
+def test_wild_actions_and_weight_match_their_loops_under_each_fault(fault):
+    seen_p_denominator = False
+    with faults.inject(fault) if fault else nullcontext():
+        for alg in WILD_ALGEBRAS:
+            p = alg.p
+            acted, weighed = _wild_inputs(alg)
+            for x in acted:
+                for j in range(1, p):
+                    assert wild.omega_action(x, j) == _omega_action_by_terms(x, j)
+                for copy in range(alg.copies):
+                    for j in range(p):
+                        assert wild.tau_action(x, j, copy) == _tau_action_by_terms(x, j, copy)
+            for x in weighed:
+                assert wild.weight_lower_bound(x) == _weight_by_pascal_rows(x)
+                seen_p_denominator |= any(c.den % (p * p) == 0 for c in x.terms.values())
+            # alpha on the last block, in and out of L, and an element that
+            # is not omega-invariant, so both raise
+            alpha = wild.build_alpha(alg, alg.copies - 1)
+            for x in (alpha, alpha * Fraction(1, p), acted[0]):
+                assert _outcome(wild.alpha_valuation_bound, x) == _outcome(
+                    _alpha_valuation_bound_by_fraction, x)
+    assert seen_p_denominator
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_alpha_bound_takes_the_integer_ceiling(monkeypatch, p):
+    alpha = wild.build_alpha(WildAlgebra(p))
+    for w in range(-60, 61):
+        monkeypatch.setattr(wild, "weight_lower_bound", lambda x, w=w: w)
+        assert wild.alpha_valuation_bound(alpha) == (w, _ceiling_by_fraction(w, p))
+
+
+def _faulty_wild(monkeypatch, name: str, exact: str, faulty: str):
+    return _faulty(monkeypatch, wild, name, exact, faulty, (wild, suite))
+
+
+def _failing_entries() -> list:
+    """(check, aspect or mutation, p, witness) of each failing entry of the
+    default suite."""
+    return [(e.check_id, e.params.get("aspect") or e.params.get("mutation"), e.params.get("p"),
+             e.witness) for e in run_suite(seed=0).entries if not e.ok]
+
+
+def test_only_action_relations_see_omega_permute_by_j(monkeypatch):
+    """y_i -> y_{i/j} in place of y_{ji}: omega stays a group action of
+    the units, so only the composition and commutation relations of check
+    08 break, and only at p = 5 and 7 (at p = 3 every unit is its own
+    inverse)."""
+    _faulty_wild(monkeypatch, "omega_action", "i * j_inv % p", "i * j % p")
+    assert [entry[:3] for entry in _failing_entries()] == [
+        ("08-wild-verification", "action-relations", 5),
+        ("08-wild-verification", "action-relations", 7)]
+
+
+def test_tau_with_c_of_1_for_c_of_minus_1_fails_the_twist_identities(monkeypatch):
+    """tau~ scaling by c(1) in place of c(-1) inverts every phase: the
+    twist scaling and the resolvent identity fail at every p, and check
+    11 finds the omega-uninverted detector already failing."""
+    _faulty_wild(monkeypatch, "tau_action", "centered(p, -1)", "centered(p, 1)")
+    assert _failing_entries() == [
+        ("08-wild-verification", aspect, p, None)
+        for p in (3, 5, 7) for aspect in ("tau-scaling", "resolvent-identity")
+    ] + [("11-mutation-sensitivity", faults.OMEGA_UNINVERTED, None,
+          "detector already failing without the mutation")]
+
+
+def test_weight_bounds_fail_when_the_weight_drops_the_top_binomial(monkeypatch):
+    """The expansion of y^b without its z^b term undercounts y - 1 and
+    p * alpha - p, at every p."""
+    _faulty_wild(monkeypatch, "weight_lower_bound", "range(n + 1)", "range(n)")
+    assert [entry[:3] for entry in _failing_entries()] == [
+        ("08-wild-verification", "weight-bounds", p) for p in (3, 5, 7)]
