@@ -73,7 +73,7 @@ def _parse_psi(spec: str, group: FiniteAbelianGroup) -> dict:
         if len(chi) != group.rank:
             raise PreconditionError(f"character {head!r} has rank {len(chi)}, "
                                     f"group needs {group.rank}")
-        chi = tuple(c % d for c, d in zip(chi, group.factors))
+        chi = group.element(chi)
         psi[chi] = psi.get(chi, 0) + coeff
     return {chi: c for chi, c in psi.items() if c}
 

@@ -12,7 +12,8 @@ Galois images, roots of unity) is built by ``_lowest`` without the gcd pass.
 A sum of products, ``cyc_dot``, reduces mod Phi_N and normalises once, not
 once per term.  At conductor 3 (phi = 2, zeta^2 = -1 - zeta) both the lone
 product and each term of ``cyc_dot`` take a closed form in place of the
-polynomial product and the reduction.
+polynomial product and the reduction; ``cyc_dot`` runs a loop of its own
+there, into two integer accumulators.
 """
 
 from __future__ import annotations
@@ -469,15 +470,36 @@ def cyc_det(rows) -> CycNumber:
 def cyc_dot(ctx: CycContext, pairs) -> CycNumber:
     """sum of x * y over the pairs (x, y) of CycNumbers, in one pass: every
     product lands in one integer vector over one common denominator, which is
-    reduced mod Phi_N and normalised once.  A term whose x.den * y.den differs
-    rescales the vector to the lcm and enters times its cofactor.  At phi = 2
-    (conductor 3) each product enters already reduced, by the closed form of
-    ``CycNumber.__mul__``, into a 2-entry vector that ``reduce`` leaves as it
-    is; other conductors accumulate the 2 phi - 1 polynomial coefficients."""
+    normalised once.  A term whose x.den * y.den differs rescales the vector
+    to the lcm and enters times its cofactor.  At phi = 2 (conductor 3) a
+    loop of its own adds each product by the closed form of
+    ``CycNumber.__mul__`` into two integer accumulators, which need no
+    reduction, and divides out gcd(den, s0, s1) at the end.  Other
+    conductors accumulate the 2 phi - 1 polynomial coefficients and reduce
+    them mod Phi_N once."""
     n = ctx.n
-    closed = ctx.phi == 2
-    acc = [0, 0] if closed else [0] * (2 * ctx.phi - 1)
     den = 1
+    if ctx.phi == 2:
+        s0 = s1 = 0
+        for x, y in pairs:
+            if x.ctx.n != n or y.ctx.n != n:
+                raise ConductorError(f"conductor mismatch {x.ctx.n}, {y.ctx.n} vs {n}")
+            (a0, a1), (b0, b1) = x.num, y.num
+            d = x.den * y.den
+            if d != den:
+                g = den // gcd(den, d) * d
+                if g != den:
+                    k = g // den
+                    s0, s1 = s0 * k, s1 * k
+                    den = g
+                f = g // d
+                a0, a1 = a0 * f, a1 * f
+            t = a1 * b1
+            s0 += a0 * b0 - t
+            s1 += a0 * b1 + a1 * b0 - t
+        g = gcd(den, s0, s1)
+        return _lowest(ctx, (s0 // g, s1 // g), den // g)
+    acc = [0] * (2 * ctx.phi - 1)
     for x, y in pairs:
         if x.ctx.n != n or y.ctx.n != n:
             raise ConductorError(f"conductor mismatch {x.ctx.n}, {y.ctx.n} vs {n}")
@@ -489,12 +511,6 @@ def cyc_dot(ctx: CycContext, pairs) -> CycNumber:
                 acc = [c * (g // den) for c in acc]
                 den = g
             f = g // d
-        if closed:
-            (a0, a1), (b0, b1) = x.num, y.num
-            t = a1 * b1
-            acc[0] += (a0 * b0 - t) * f
-            acc[1] += (a0 * b1 + a1 * b0 - t) * f
-            continue
         nz = [(j, b * f) for j, b in enumerate(y.num) if b]
         for i, a in enumerate(x.num):
             if a:

@@ -4,11 +4,22 @@ A group is a chain d_1 | d_2 | ... | d_k of odd integers > 1; elements are
 coordinate tuples with coords[i] in [0, d_i).  Arbitrary factor lists are
 accepted and put into invariant-factor form at construction, so ``(3, 5)``
 and ``(15,)`` build the same group.
+
+Only this module reduces coordinates modulo the invariant factors: other
+modules build elements through ``element`` and combine them through
+``add``, ``neg``, ``sub`` and ``scale``.  ``add``, ``neg`` and ``sub`` read
+a sum table and a negation table kept on the group object: the negation
+table is built on first use, and each row {b: a + b} of the sum table on
+the first sum with a, so a group that only serves a character table builds
+neither.  The sum table has at most |G|^2 entries, so at most MAX_SIZE^2
+under the CLI's bound ``cli.MAX_SIZE``.  An argument that is not an element
+raises InvalidElementError.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidElementError, InvalidGroupError
@@ -76,6 +87,7 @@ class FiniteAbelianGroup:
         for d in self.factors:
             self.order *= d
         self.identity: GroupElement = (0,) * self.rank
+        self._sums: dict[GroupElement, dict[GroupElement, GroupElement]] = {}
 
     @property
     def spec(self) -> str:
@@ -105,14 +117,49 @@ class FiniteAbelianGroup:
             raise InvalidElementError(f"{coords!r} has wrong shape for {self.spec}")
         return tuple(c % d for c, d in zip(coords, self.factors))
 
+    @cached_property
+    def _elements(self) -> list[GroupElement]:
+        return list(self.elements())
+
+    @cached_property
+    def _negs(self) -> dict[GroupElement, GroupElement]:
+        """{a: -a}, built on first use."""
+        return {a: tuple((-x) % d for x, d in zip(a, self.factors)) for a in self._elements}
+
+    def _row(self, a, *others) -> dict[GroupElement, GroupElement]:
+        """The row {b: a + b} of the sum table, built on its first use, its
+        values the tuples of ``_elements``; InvalidElementError unless a and
+        ``others`` are elements.  The row lists a + b for b in lexicographic
+        order, so its positions are a mixed-radix count shifted by a,
+        coordinate by coordinate."""
+        for x in (a, *others):
+            self.validate(x)
+        row = self._sums.get(a)
+        if row is None:
+            elems, stride, positions = self._elements, self.order, [0]
+            for x, d in zip(a, self.factors):
+                stride //= d
+                positions = [k + (x + c) % d * stride for k in positions for c in range(d)]
+            row = self._sums[a] = dict(zip(elems, map(elems.__getitem__, positions)))
+        return row
+
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
+        try:
+            return self._sums[a][b]
+        except (KeyError, TypeError):
+            return self._row(a, b)[b]
 
     def neg(self, a: GroupElement) -> GroupElement:
-        return tuple((-x) % d for x, d in zip(a, self.factors))
+        try:
+            return self._negs[a]
+        except (KeyError, TypeError):
+            return self._negs[self.validate(a)]
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.factors))
+        try:
+            return self._sums[a][self._negs[b]]
+        except (KeyError, TypeError):
+            return self._row(a, b)[self.neg(b)]
 
     def scale(self, a: GroupElement, k: int) -> GroupElement:
         return tuple((x * k) % d for x, d in zip(a, self.factors))

@@ -109,9 +109,9 @@ def det_map(group: FiniteAbelianGroup, psi: dict) -> Character:
     """Determinant of a Z-combination of characters: the product character."""
     out = [0] * group.rank
     for chi, mult in psi.items():
-        for i, (img, d) in enumerate(zip(chi, group.factors)):
-            out[i] = (out[i] + mult * img) % group.factors[i]
-    return tuple(out)
+        for i, img in enumerate(chi):
+            out[i] += mult * img
+    return group.element(out)
 
 
 def stickelberger_map(group: FiniteAbelianGroup, psi: dict) -> dict[GroupElement, Fraction]:

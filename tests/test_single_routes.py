@@ -12,7 +12,10 @@ map once; its per-trial loop is kept here, and the two must give the same
 entries.  The wild actions and the weight build their integer tables once
 per call; their per-term loops, the Pascal-row expansion and the
 ``Fraction`` ceiling are kept here, and must give the same elements,
-weights and bounds, with and without each fault.
+weights and bounds, with and without each fault.  Group arithmetic reads
+tables built on first use, and ``cyc_dot`` runs a loop of its own at
+conductor 3; the coordinate formulas and the loop through ``reduce`` are
+kept here, and must give the same elements, numbers and errors.
 """
 from __future__ import annotations
 
@@ -23,14 +26,24 @@ import random
 import textwrap
 from contextlib import nullcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvend import faults, groupring, suite, tame, wild
-from resolvend.cyclotomic import CycAlgebra, CycContext, CycNumber, galois_apply, root_of_unity
+from resolvend.cyclotomic import (
+    CycAlgebra,
+    CycContext,
+    CycNumber,
+    cyc_dot,
+    galois_apply,
+    root_of_unity,
+)
 from resolvend.errors import (
+    ConductorError,
+    InvalidElementError,
     NotAGeneratorError,
     NotInvertibleError,
     PreconditionError,
@@ -947,3 +960,144 @@ def test_weight_bounds_fail_when_the_weight_drops_the_top_binomial(monkeypatch):
     _faulty_wild(monkeypatch, "weight_lower_bound", "range(n + 1)", "range(n)")
     assert [entry[:3] for entry in _failing_entries()] == [
         ("08-wild-verification", "weight-bounds", p) for p in (3, 5, 7)]
+
+
+# -- group arithmetic by table --------------------------------------------------
+
+
+def _add_by_coordinates(group: FiniteAbelianGroup, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, group.factors))
+
+
+def _neg_by_coordinates(group: FiniteAbelianGroup, a):
+    return tuple((-x) % d for x, d in zip(a, group.factors))
+
+
+def _sub_by_coordinates(group: FiniteAbelianGroup, a, b):
+    return tuple((x - y) % d for x, y, d in zip(a, b, group.factors))
+
+
+TABLE_GROUPS = suite.odd_abelian_groups(27) + [FiniteAbelianGroup((243,)),
+                                               FiniteAbelianGroup((3, 81))]
+
+
+@pytest.mark.parametrize("group", TABLE_GROUPS, ids=lambda g: g.spec)
+def test_group_tables_match_the_coordinate_formulas(group):
+    elems = list(group.elements())
+    for a in elems:
+        assert group.neg(a) == _neg_by_coordinates(group, a)
+        for b in elems:
+            assert group.add(a, b) == _add_by_coordinates(group, a, b)
+            assert group.sub(a, b) == _sub_by_coordinates(group, a, b)
+
+
+NON_ELEMENTS = [(3, 0), (0, 9), (-1, 0), (0,), (0, 0, 0), [0, 0], (0, "1"), None, 0]
+
+
+@pytest.mark.parametrize("bad", NON_ELEMENTS, ids=repr)
+def test_group_arithmetic_rejects_non_elements(bad):
+    group = FiniteAbelianGroup((3, 9))
+    s = (1, 2)
+    for _ in range(2):  # before and after the row of s and the negation table exist
+        for call in (lambda: group.add(bad, s), lambda: group.add(s, bad),
+                     lambda: group.neg(bad), lambda: group.sub(bad, s), lambda: group.sub(s, bad)):
+            with pytest.raises(InvalidElementError):
+                call()
+        group.sub(s, s)
+
+
+def test_a_group_builds_its_tables_once_and_only_when_used(monkeypatch):
+    """A character table builds no table.  The first sum with a builds the
+    row of a, the first negation the negation table, both from one walk of
+    ``elements``, and later calls reuse them."""
+    walks = []
+    walk = FiniteAbelianGroup.elements
+    monkeypatch.setattr(FiniteAbelianGroup, "elements",
+                        lambda self: walks.append(self.spec) or walk(self))
+    group = FiniteAbelianGroup((3, 9))
+    CharacterTable(group)
+    assert group._sums == {} and "_negs" not in vars(group)
+    del walks[:]
+    group.add((1, 2), (2, 8))
+    row = group._sums[(1, 2)]
+    assert list(group._sums) == [(1, 2)] and "_negs" not in vars(group)
+    elems = list(walk(group))
+    for a in elems:
+        for b in elems:
+            group.add(a, b), group.neg(a), group.sub(a, b)
+    assert walks == ["3,9"] and group._sums[(1, 2)] is row
+    assert list(group._sums) == [(1, 2)] + [a for a in elems if a != (1, 2)]
+
+
+# -- the conductor-3 sum of products --------------------------------------------
+
+
+def _cyc_dot_through_reduce(ctx: CycContext, pairs) -> CycNumber:
+    n = ctx.n
+    closed = ctx.phi == 2
+    acc = [0, 0] if closed else [0] * (2 * ctx.phi - 1)
+    den = 1
+    for x, y in pairs:
+        if x.ctx.n != n or y.ctx.n != n:
+            raise ConductorError(f"conductor mismatch {x.ctx.n}, {y.ctx.n} vs {n}")
+        d = x.den * y.den
+        f = 1
+        if d != den:
+            g = den // gcd(den, d) * d
+            if g != den:
+                acc = [c * (g // den) for c in acc]
+                den = g
+            f = g // d
+        if closed:
+            (a0, a1), (b0, b1) = x.num, y.num
+            t = a1 * b1
+            acc[0] += (a0 * b0 - t) * f
+            acc[1] += (a0 * b1 + a1 * b0 - t) * f
+            continue
+        nz = [(j, b * f) for j, b in enumerate(y.num) if b]
+        for i, a in enumerate(x.num):
+            if a:
+                for j, b in nz:
+                    acc[i + j] += a * b
+    return CycNumber(ctx, ctx.reduce(acc), den)
+
+
+def _conductor_3_pairs(rng: random.Random, dens: tuple) -> list:
+    ctx = CycContext(3)
+
+    def operand():
+        return CycNumber(ctx, (rng.randint(-6, 6), rng.randint(-6, 6)), rng.choice(dens))
+
+    return [(operand(), operand()) for _ in range(rng.randint(0, 8))]
+
+
+@pytest.mark.parametrize("dens", [(1,), (2,), (3,), (6,), (1, 2, 3, 6)], ids=str)
+def test_conductor_3_dot_matches_its_loop_through_reduce(dens):
+    ctx = CycContext(3)
+    rng = random.Random(f"cyc-dot:{dens}")
+    lowered = 0
+    for _ in range(300):
+        pairs = _conductor_3_pairs(rng, dens)
+        for case in (pairs, pairs + [(-x, y) for x, y in pairs], pairs + [(y, -x) for x, y in pairs]):
+            got, want = cyc_dot(ctx, case), _cyc_dot_through_reduce(ctx, case)
+            assert (got.num, got.den) == (want.num, want.den)
+            if case is not pairs:
+                assert (got.num, got.den) == ((0, 0), 1)
+        lowered += got.den != math.lcm(1, *(x.den * y.den for x, y in pairs))
+    # some sums leave their common denominator: the final gcd divides it
+    assert lowered if dens != (1,) else not lowered
+
+
+def test_conductor_3_dot_raises_the_error_of_its_loop_on_a_foreign_operand():
+    ctx = CycContext(3)
+    rng = random.Random("cyc-dot:foreign")
+    for n in (1, 9, 21):
+        foreign = CycContext(n).zeta_power(1)
+        for _ in range(20):
+            pairs = _conductor_3_pairs(rng, (1, 2, 3, 6))
+            at = rng.randint(0, len(pairs))
+            for pair in ((foreign, ctx.one()), (ctx.one(), foreign), (foreign, foreign)):
+                case = pairs[:at] + [pair] + pairs[at:]
+                got = _outcome(cyc_dot, ctx, case)
+                assert got == _outcome(_cyc_dot_through_reduce, ctx, case)
+                assert got[0] == "ConductorError"

@@ -200,6 +200,70 @@ def test_resolvent_rule_catches_each_form():
         "m:1", "m:3", "m:4", "m:5"]
 
 
+def _mentions_factors(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "factors" for n in ast.walk(node))
+
+
+def _factor_reductions(tree: ast.AST) -> list[str]:
+    """``%`` by an invariant factor: a right operand that reads ``.factors``
+    (``c % group.factors[i]``), or a name bound by a ``for`` loop or a
+    comprehension over an iterable that reads ``.factors``
+    (``c % d for c, d in zip(s, group.factors)``), inside that loop.  A
+    modulus by any other name, such as the exponent, is not matched."""
+    found = set()
+
+    def scan(nodes, names: set[str]):
+        for node in nodes:
+            for n in ast.walk(node):
+                if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                        and (_mentions_factors(n.right)
+                             or isinstance(n.right, ast.Name) and n.right.id in names)):
+                    found.add((n.lineno, ast.unparse(n)))
+
+    def bound(target: ast.AST) -> set[str]:
+        return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and _mentions_factors(node.iter):
+            scan(node.body, bound(node.target))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            names = set().union(*(bound(g.target) for g in node.generators
+                                  if _mentions_factors(g.iter)))
+            parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            scan(parts + [c for g in node.generators for c in g.ifs], names)
+    scan([tree], set())
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_only_groups_reduces_coordinates_by_the_invariant_factors():
+    """Coordinates are reduced into the group by ``groups`` alone, through
+    ``element``, ``add``, ``neg``, ``sub`` and ``scale``, so a table or a
+    check there serves every caller."""
+    root = Path(resolvend.__file__).parent
+    offences = {path.name: _factor_reductions(ast.parse(path.read_text()))
+                for path in sorted(root.glob("*.py")) if path.name != "groups.py"}
+    assert {name: found for name, found in offences.items() if found} == {}
+    assert _factor_reductions(ast.parse((root / "groups.py").read_text()))
+
+
+def test_factor_reduction_rule_catches_each_form():
+    code = ("a = tuple(c % d for c, d in zip(s, group.factors))\n"
+            "b = [x % n for x, n in zip(s, g.factors)]\n"
+            "c = {i: x % d for i, (x, d) in enumerate(zip(s, g.factors))}\n"
+            "for img, d in zip(chi, group.factors):\n"
+            "    e = img % d\n"
+            "f = out[i] % group.factors[i]\n"
+            "g = [x for x, d in zip(s, g.factors) if x % d]\n"
+            "h = s % self.factors[-1]\n"
+            "i = n % d\n"
+            "for img, d in zip(chi, group.factors):\n"
+            "    j = [(k + img) % m for k in ks]\n"
+            "k = [x * (m // d) for x, d in zip(s, g.factors)]\n"
+            "l = [x % d for x, d in zip(s, divisors)]\n")
+    assert [f.split(":")[0] for f in _factor_reductions(ast.parse(code))] == [
+        f"line {n}" for n in (1, 2, 3, 5, 6, 7, 8)]
+
+
 def _reads_val(node: ast.AST) -> bool:
     return any(isinstance(n, ast.Attribute) and n.attr == "val" for n in ast.walk(node))
 

@@ -613,12 +613,11 @@ def test_checks_05_and_06_fail_on_a_corrupted_phi_57_row(fresh_interning):
         "05-decompose-roundtrip", "06-transport-closure"}
 
 
-def _patch_cyc_dot(monkeypatch, exact: str, faulty: str, count: int = 1):
-    """Compile ``cyc_dot`` from its own source with each of the ``count``
-    copies of ``exact`` replaced by ``faulty`` and patch it into both modules
-    that call it."""
+def _patch_cyc_dot(monkeypatch, exact: str, faulty: str):
+    """Compile ``cyc_dot`` from its own source with the one copy of ``exact``
+    replaced by ``faulty`` and patch it into both modules that call it."""
     source = inspect.getsource(cyclotomic.cyc_dot)
-    assert source.count(exact) == count
+    assert source.count(exact) == 1
     namespace: dict = {}
     exec(compile(textwrap.dedent(source.replace(exact, faulty)), cyclotomic.__file__, "exec"),
          vars(cyclotomic), namespace)
@@ -643,8 +642,8 @@ def test_check_04_fails_when_a_sum_of_products_skips_the_reduction(
 
 
 @pytest.mark.parametrize("exact, faulty", [
-    ("(a0 * b0 - t) * f", "(a0 * b0) * f"),
-    ("a1 * b0 - t) * f", "a1 * b0) * f"),
+    ("s0 += a0 * b0 - t\n", "s0 += a0 * b0\n"),
+    ("s1 += a0 * b1 + a1 * b0 - t\n", "s1 += a0 * b1 + a1 * b0\n"),
 ], ids=["constant", "zeta"])
 def test_check_04_fails_when_the_conductor_3_sum_of_products_drops_a_term(
         monkeypatch, fresh_interning, exact, faulty):
@@ -663,7 +662,7 @@ def test_check_10_fails_when_the_conductor_3_sum_of_products_skips_the_cofactor(
     denominator x.den * y.den, not times its cofactor to the common one,
     fails both check-10 entries.  Check 04 is blind to it, as to the skipped
     rescale: within each of its sums the cofactor is 1."""
-    _patch_cyc_dot(monkeypatch, ") * f\n", ")\n", count=2)
+    _patch_cyc_dot(monkeypatch, "a0, a1 = a0 * f, a1 * f", "pass")
     entries = run_suite(checks=["10"]).entries
     assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
         ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 2")]
@@ -671,11 +670,11 @@ def test_check_10_fails_when_the_conductor_3_sum_of_products_skips_the_cofactor(
 
 def test_check_10_fails_when_a_sum_of_products_skips_the_rescale(
         monkeypatch, fresh_interning):
-    """``cyc_dot`` moving to a new common denominator without rescaling the
-    accumulator fails both check-10 entries.  Check 04 is blind to this
-    fault: within each of its sums every product has the same denominator,
-    so the accumulator is never rescaled."""
-    _patch_cyc_dot(monkeypatch, "acc = [c * (g // den) for c in acc]", "pass")
+    """``cyc_dot``'s closed form moving to a new common denominator without
+    rescaling its two accumulators fails both check-10 entries.  Check 04 is
+    blind to this fault: within each of its sums every product has the same
+    denominator, so the accumulators are never rescaled."""
+    _patch_cyc_dot(monkeypatch, "s0, s1 = s0 * k, s1 * k", "pass")
     entries = run_suite(checks=["10"]).entries
     assert [(e.params["algebra"], e.status, e.witness) for e in entries] == [
         ("cyclotomic", "fail", "pair 0"), ("fractional-power", "fail", "pair 2")]
